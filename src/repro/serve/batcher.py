@@ -67,6 +67,10 @@ class ScanRequest:
     t_arrival_ns: "float | None" = None
     #: simulated-clock completion deadline (ns); None = no deadline
     deadline_ns: "float | None" = None
+    #: shape-class plan key, set once by :meth:`RequestBatcher.shape_key`
+    #: and carried through every queue the request passes (pool scheduler,
+    #: pool batcher, member batcher, failover recall)
+    key: "PlanKey | None" = None
 
     @property
     def n(self) -> int:
@@ -159,6 +163,27 @@ class RequestBatcher:
             request.algorithm in BATCHED_ALGORITHMS and not request.exclusive
         )
 
+    def shape_key(self, req: ScanRequest) -> PlanKey:
+        """The request's shape class: its batched key at batch 1 when the
+        batched kernels can serve it, its 1-D key otherwise.
+
+        Computed on first use and carried on the request.  A key depends
+        only on the request and the device config, and a pool's members
+        share one config, so every batcher the request meets reuses it.
+        Key construction also validates the algorithm and dtype.
+        """
+        if req.key is None:
+            if self._batchable(req):
+                req.key = self.cache.key_batched(
+                    req.algorithm, 1, req.n, req.plan_dtype, s=req.s
+                )
+            else:
+                req.key = self.cache.key_1d(
+                    req.algorithm, req.n, req.plan_dtype, s=req.s,
+                    exclusive=req.exclusive, block_dim=req.block_dim,
+                )
+        return req.key
+
     def drain(self) -> "list[LaunchGroup]":
         """Partition and clear the pending queue.
 
@@ -186,15 +211,7 @@ class RequestBatcher:
                     order.append(group)
                 group.requests.append(req)
                 continue
-            if self._batchable(req):
-                key = self.cache.key_batched(
-                    req.algorithm, 1, req.n, req.plan_dtype, s=req.s
-                )
-            else:
-                key = self.cache.key_1d(
-                    req.algorithm, req.n, req.plan_dtype, s=req.s,
-                    exclusive=req.exclusive, block_dim=req.block_dim,
-                )
+            key = self.shape_key(req)
             group = by_shape.get(key)
             if group is None:
                 group = by_shape[key] = LaunchGroup(key=key)

@@ -21,7 +21,11 @@ Casting note: ``np.cumsum(x16, dtype=np.float32)`` (buffered cast-and-add)
 and ``np.cumsum(x16.astype(np.float32))`` perform the identical fp32
 addition sequence — the fp16→fp32 cast is exact — so the explicit up-front
 cast used here is bit-identical while keeping the accumulate loop
-unbuffered (measurably faster and GIL-friendlier).
+unbuffered (measurably faster and GIL-friendlier).  The fp16 cast itself
+is a lookup in :data:`FP16_TO_FP32`, a table of every fp16 bit pattern
+widened by ``astype`` once at import: indexing by the ``uint16`` view
+returns the cast's own bits (NaN payloads, ±inf, subnormals and −0
+included) at about a quarter of ``astype``'s per-element cost.
 """
 
 from __future__ import annotations
@@ -34,7 +38,14 @@ from ..core.reference import accum_np_dtype
 from ..core.replay import _VECTOR_ALGORITHMS
 from ..hw.datatypes import DType
 
-__all__ = ["assemble_rows", "group_scan_values"]
+__all__ = ["FP16_TO_FP32", "assemble_rows", "group_scan_values"]
+
+#: fp32 value of every fp16 bit pattern, indexed by the ``uint16`` view.
+#: Built with ``astype`` itself, so a lookup is bit-identical to the cast.
+FP16_TO_FP32 = (
+    np.arange(1 << 16, dtype=np.uint16).view(np.float16).astype(np.float32)
+)
+FP16_TO_FP32.flags.writeable = False
 
 
 def assemble_rows(
@@ -78,7 +89,11 @@ def group_scan_values(
     acc = accum_np_dtype(xp.dtype)
     # dtype=acc pins the accumulator: without it NumPy promotes integer
     # cumsums to the platform int (int32 rows would come back int64)
-    inc = np.cumsum(xp.astype(acc, copy=False), axis=1, dtype=acc)
+    if xp.dtype == np.float16 and acc == np.float32:
+        wide = np.take(FP16_TO_FP32, xp.view(np.uint16))
+    else:
+        wide = xp.astype(acc, copy=False)
+    inc = np.cumsum(wide, axis=1, dtype=acc)
     if exclusive:
         out = np.empty_like(inc)
         out[:, 0] = 0

@@ -121,6 +121,22 @@ class ScanTicket:
             return None
         return self.t_complete_ns - self.t_arrival_ns
 
+    @classmethod
+    def for_request(cls, req: ScanRequest) -> "ScanTicket":
+        """The unfilled ticket of one prepared request (id assigned)."""
+        return cls(
+            req_id=req.req_id,
+            n=req.n,
+            algorithm=req.algorithm,
+            dtype=req.dtype,
+            s=req.s,
+            exclusive=req.exclusive,
+            tuned=req.tuned,
+            block_dim=req.block_dim,
+            t_arrival_ns=req.t_arrival_ns,
+            deadline_ns=req.deadline_ns,
+        )
+
     def result(self) -> np.ndarray:
         if not self.done:
             raise RuntimeError(
@@ -206,12 +222,14 @@ class ScanService:
         algorithm: "str | None" = None,
         s: "int | None" = None,
         exclusive: bool = False,
-        req_id: "int | None" = None,
-    ) -> "tuple[ScanRequest, ScanTicket]":
-        """Validate one submission and materialise its request + ticket
-        without enqueueing — the routing seam the device-pool front end
-        (:class:`repro.shard.PoolScanService`) uses to build tickets
-        centrally and hand the request to whichever member it picks."""
+    ) -> ScanRequest:
+        """Validate one submission into a keyed request that has no id,
+        ticket or queue slot yet (``req_id`` is -1).
+
+        This is the whole per-submission validation, run once: ``submit``
+        then numbers and tracks the request, and the device-pool front end
+        (:class:`repro.shard.PoolScanService`) does the same at admission,
+        after the open-loop scheduler has costed and placed it."""
         x = np.asarray(x)
         if x.ndim != 1:
             raise ShapeError(f"submit expects a 1-D array, got shape {x.shape}")
@@ -235,15 +253,8 @@ class ScanService:
             algorithm = "scanu"
         if s is None:
             s = 128
-        # key construction validates algorithm/exclusive combinations early
-        self.cache.key_1d(
-            algorithm, x.size, dt, s=s, exclusive=exclusive, block_dim=block_dim
-        )
-        if req_id is None:
-            req_id = self._next_id
-            self._next_id += 1
         req = ScanRequest(
-            req_id=req_id,
+            req_id=-1,
             x=x,
             algorithm=algorithm,
             s=s,
@@ -253,17 +264,9 @@ class ScanService:
             tuned=tuned,
             dtype=dt.name,
         )
-        ticket = ScanTicket(
-            req_id=req_id,
-            n=x.size,
-            algorithm=algorithm,
-            dtype=dt.name,
-            s=s,
-            exclusive=exclusive,
-            tuned=tuned,
-            block_dim=block_dim,
-        )
-        return req, ticket
+        # keying validates the algorithm early; the key rides the request
+        self.batcher.shape_key(req)
+        return req
 
     def _normalize_input(
         self, x: np.ndarray
@@ -302,9 +305,10 @@ class ScanService:
         for explicit arguments, which always win) the heuristic default
         ``scanu``/``s=128`` applies.
         """
-        req, ticket = self._prepare(
-            x, algorithm=algorithm, s=s, exclusive=exclusive
-        )
+        req = self._prepare(x, algorithm=algorithm, s=s, exclusive=exclusive)
+        req.req_id = self._next_id
+        self._next_id += 1
+        ticket = ScanTicket.for_request(req)
         self.enqueue(req, ticket)
         return ticket
 

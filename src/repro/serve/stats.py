@@ -73,6 +73,21 @@ class ServiceStats:
     deadline_misses: int = 0
     #: requests refused at admission (deadline infeasible or pool dead)
     shed_requests: int = 0
+    #: running launch totals, updated by ``record_launch`` so every
+    #: launch-side aggregate below is O(1) however long the run is
+    #: (``launches`` keeps the per-launch history for readers that need it)
+    _device_ns: float = field(default=0.0, repr=False)
+    _n_elements: int = field(default=0, repr=False)
+    _io_bytes: int = field(default=0, repr=False)
+    _coalesced: int = field(default=0, repr=False)
+    _plan_hits: int = field(default=0, repr=False)
+    _timeline_hits: int = field(default=0, repr=False)
+    _tuned_launches: int = field(default=0, repr=False)
+    _tuned_requests: int = field(default=0, repr=False)
+    _retries: int = field(default=0, repr=False)
+    _faults: int = field(default=0, repr=False)
+    _backoff_ns: float = field(default=0.0, repr=False)
+    _faulted_launches: int = field(default=0, repr=False)
 
     def record_op(self, kind: str, device_ns: float, *, host_s: float = 0.0) -> None:
         """Charge one graph node's replay to its op kind: simulated device
@@ -116,6 +131,20 @@ class ServiceStats:
 
     def record_launch(self, record: LaunchRecord) -> None:
         self.launches.append(record)
+        self._device_ns += record.device_ns
+        self._n_elements += record.n_elements
+        self._io_bytes += record.io_bytes
+        if record.kind == "batched":
+            self._coalesced += record.requests
+        self._plan_hits += record.plan_hit
+        self._timeline_hits += record.timeline_hit
+        if record.tuned:
+            self._tuned_launches += 1
+            self._tuned_requests += record.requests
+        self._retries += record.retries
+        self._faults += record.faults
+        self._backoff_ns += record.backoff_ns
+        self._faulted_launches += record.retries > 0
 
     def record_fault(self) -> None:
         self.fault_events += 1
@@ -178,15 +207,15 @@ class ServiceStats:
 
     @property
     def coalesced_requests(self) -> int:
-        return sum(r.requests for r in self.launches if r.kind == "batched")
+        return self._coalesced
 
     @property
     def n_elements(self) -> int:
-        return sum(r.n_elements for r in self.launches)
+        return self._n_elements
 
     @property
     def device_ns(self) -> float:
-        return sum(r.device_ns for r in self.launches)
+        return self._device_ns
 
     @property
     def gelems_per_s(self) -> float:
@@ -199,13 +228,13 @@ class ServiceStats:
         ns = self.device_ns
         if not ns:
             return 0.0
-        return sum(r.io_bytes for r in self.launches) / ns
+        return self._io_bytes / ns
 
     @property
     def plan_hit_rate(self) -> float:
         if not self.launches:
             return 0.0
-        return sum(1 for r in self.launches if r.plan_hit) / len(self.launches)
+        return self._plan_hits / len(self.launches)
 
     @property
     def timeline_hit_rate(self) -> float:
@@ -213,19 +242,17 @@ class ServiceStats:
         launch after a plan's first is a hit once replay caching is on)."""
         if not self.launches:
             return 0.0
-        return sum(1 for r in self.launches if r.timeline_hit) / len(
-            self.launches
-        )
+        return self._timeline_hits / len(self.launches)
 
     @property
     def tuned_launches(self) -> int:
         """Launches whose plan configuration came from the tuned store."""
-        return sum(1 for r in self.launches if r.tuned)
+        return self._tuned_launches
 
     @property
     def tuned_requests(self) -> int:
         """Requests served by tuned-plan launches."""
-        return sum(r.requests for r in self.launches if r.tuned)
+        return self._tuned_requests
 
     @property
     def tuned_hit_rate(self) -> float:
@@ -239,22 +266,22 @@ class ServiceStats:
     @property
     def total_retries(self) -> int:
         """Relaunches across all successful launches."""
-        return sum(r.retries for r in self.launches)
+        return self._retries
 
     @property
     def total_faults(self) -> int:
         """Transient faults absorbed by launches that went on to succeed."""
-        return sum(r.faults for r in self.launches)
+        return self._faults
 
     @property
     def total_backoff_ns(self) -> float:
         """Simulated retry backoff charged to device time."""
-        return sum(r.backoff_ns for r in self.launches)
+        return self._backoff_ns
 
     @property
     def faulted_launches(self) -> int:
         """Launches that needed at least one retry."""
-        return sum(1 for r in self.launches if r.retries)
+        return self._faulted_launches
 
     def summary(self) -> str:
         lat = sorted(self.host_latencies_s)

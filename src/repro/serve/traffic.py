@@ -186,10 +186,18 @@ def generate_arrivals(spec: TrafficSpec, seed: int) -> "list[Arrival]":
     ]
 
 
+#: the payload values -2..2 in the order a draw indexes them: 0, 1, 2
+#: directly, -2 and -1 from the end
+_PAYLOAD_VALUES = np.array([0, 1, 2, -2, -1])
+
+
 def make_input(rng, n: int, dtype) -> np.ndarray:
     """One request payload: small integers cast to the serving dtype, so
-    fp16 scans stay exact (no rounding ambiguity against the oracle)."""
-    return rng.integers(-2, 3, n).astype(dtype)
+    fp16 scans stay exact (no rounding ambiguity against the oracle).
+
+    The cast is a lookup in a 5-entry table cast by ``astype`` itself:
+    the same bits as casting every element, at a fraction of the cost."""
+    return _PAYLOAD_VALUES.astype(dtype)[rng.integers(-2, 3, n)]
 
 
 def percentile_ns(values: "list[float]", q: float) -> float:

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..errors import KernelError
 from ..serve.batcher import ScanRequest, bucket_size
+from ..serve.plan import PlanKey
 from ..serve.stats import ServiceStats
 from ..serve.traffic import (
     TRAFFIC_SEED0,
@@ -78,6 +79,7 @@ class _Bucket:
         "target",
         "start_ns",
         "predicted_ns",
+        "deadline_ns",
     )
 
     def __init__(self, seq, key, batchable, capacity, opened_ns):
@@ -93,14 +95,8 @@ class _Bucket:
         self.target = -1
         self.start_ns = 0.0
         self.predicted_ns = 0.0
-
-    @property
-    def deadline_ns(self) -> float:
-        """Earliest member deadline — the EDF key."""
-        return min(
-            (r.deadline_ns for r in self.requests if r.deadline_ns is not None),
-            default=float("inf"),
-        )
+        #: earliest member deadline — the EDF key, kept as requests join
+        self.deadline_ns = float("inf")
 
     @property
     def event_ns(self) -> float:
@@ -153,6 +149,8 @@ class TrafficScheduler:
         self.stats = ServiceStats()
         #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
         self._predictions: dict = {}
+        #: shape key -> buckets with spare capacity, in creation order
+        self._joinable: "dict[PlanKey, list[_Bucket]]" = {}
         self._served_tickets: list = []
         self._failed_tickets: list = []
         #: per-bucket capacity: the batcher's chunk size (largest power of
@@ -167,15 +165,14 @@ class TrafficScheduler:
         probe, instead of only observed busy time.  Fallback rows (below
         ``min_group``, or unbatchable algorithms) cost one 1-D launch
         each."""
-        cache = self.svc.workers[0].cache
         batcher = self.svc.batcher
-        batchable = batcher._batchable(req) and rows >= batcher.min_group
-        bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
-        memo_key = (req.algorithm, req.n, req.plan_dtype, req.s, req.exclusive,
-                    req.block_dim, rows if batchable else 1, batchable)
+        memo_key = (batcher.shape_key(req), rows)
         hit = self._predictions.get(memo_key)
         if hit is not None:
             return hit
+        cache = self.svc.workers[0].cache
+        batchable = batcher._batchable(req) and rows >= batcher.min_group
+        bucket = bucket_size(rows, max_batch=batcher.max_batch) if batchable else 0
         t0 = time.perf_counter()
         if batchable:
             plan = cache.get_batched(
@@ -198,12 +195,14 @@ class TrafficScheduler:
         alive = self.svc._alive()
         if not alive:
             return None
-        score = lambda m: (
+        workers = self.svc.workers
+        scores = [
             max(self.clock_ns, self.free_at_ns[m])
-            + predicted_ns * self.svc.workers[m].observed_slowdown
-        )
-        best = min(score(m) for m in alive)
-        tied = [m for m in alive if score(m) == best]
+            + predicted_ns * workers[m].observed_slowdown
+            for m in alive
+        ]
+        best = min(scores)
+        tied = [m for m, score in zip(alive, scores) if score == best]
         if self.controller is not None and len(tied) > 1:
             return tied[self.controller.choose("traffic.place", len(tied))]
         return tied[0]
@@ -221,12 +220,10 @@ class TrafficScheduler:
         member is alive to serve.
         """
         self.clock_ns = max(self.clock_ns, arrival.t_ns)
-        # probe cost *before* preparing a ticket: admission must not
-        # track work it is about to refuse
-        probe_req, _ = self.svc.workers[0]._prepare(
-            x, algorithm=algorithm, s=s, req_id=-1
-        )
-        solo_ns = self._predict_ns(probe_req, 1)
+        # validate and cost once; the pool numbers and tracks the request
+        # only after admission, so a shed arrival takes no id or ticket
+        req = self.svc._prepare(x, algorithm=algorithm, s=s)
+        solo_ns = self._predict_ns(req, 1)
         target = self._place(solo_ns)
         if target is None:
             self.stats.record_shed()
@@ -238,9 +235,8 @@ class TrafficScheduler:
         if earliest_start + solo_ns > arrival.deadline_ns:
             self.stats.record_shed()
             return None
-        req, ticket = self.svc._prepare(
-            x, algorithm=algorithm, s=s,
-            t_arrival_ns=arrival.t_ns, deadline_ns=arrival.deadline_ns,
+        ticket = self.svc._admit(
+            req, t_arrival_ns=arrival.t_ns, deadline_ns=arrival.deadline_ns
         )
         self._enqueue(req, ticket)
         return ticket
@@ -266,47 +262,42 @@ class TrafficScheduler:
             # to keep holding the bucket open
             self._stage(bucket)
 
-    def _shape_key(self, req: ScanRequest):
-        batcher = self.svc.batcher
-        if batcher._batchable(req):
-            return batcher.cache.key_batched(
-                req.algorithm, 1, req.n, req.plan_dtype, s=req.s
-            )
-        return batcher.cache.key_1d(
-            req.algorithm, req.n, req.plan_dtype, s=req.s,
-            exclusive=req.exclusive, block_dim=req.block_dim,
-        )
-
     def _find_bucket(self, req: ScanRequest) -> "_Bucket | None":
         """A joinable bucket for this shape class: open, or staged but not
         yet started (join-in-flight), with spare capacity."""
-        key = self._shape_key(req)
-        candidates = [
-            b for b in self.buckets
-            if b.key == key and len(b.requests) < b.capacity
-        ]
-        if not candidates:
-            return None
+        joinable = self._joinable.get(self.svc.batcher.shape_key(req))
         # prefer the earliest-opened joinable bucket (deterministic); a
         # staged bucket that already reached its start time is dispatched
         # before any same-tick arrival is offered, so it is never here
-        return candidates[0]
+        return joinable[0] if joinable else None
 
     def _open_bucket(self, req: ScanRequest, *, capacity: int) -> _Bucket:
         bucket = _Bucket(
             seq=self._seq,
-            key=self._shape_key(req),
+            key=self.svc.batcher.shape_key(req),
             batchable=capacity > 1,
             capacity=capacity,
             opened_ns=self.clock_ns,
         )
         self._seq += 1
         self.buckets.append(bucket)
+        if capacity > 1:
+            self._joinable.setdefault(bucket.key, []).append(bucket)
         return bucket
+
+    def _retire(self, bucket: _Bucket) -> None:
+        """Stop offering a bucket to joiners (full, dispatched or failed)."""
+        joinable = self._joinable.get(bucket.key)
+        if joinable and bucket in joinable:
+            joinable.remove(bucket)
 
     def _add_to_bucket(self, bucket: _Bucket, req: ScanRequest, ticket) -> None:
         bucket.requests.append(req)
         bucket.tickets.append(ticket)
+        if len(bucket.requests) >= bucket.capacity:
+            self._retire(bucket)
+        if req.deadline_ns is not None and req.deadline_ns < bucket.deadline_ns:
+            bucket.deadline_ns = req.deadline_ns
         if bucket.staged:
             return  # joined in flight; launch slot is already committed
         # latest start that still meets the bucket's earliest deadline at
@@ -342,9 +333,9 @@ class TrafficScheduler:
         creation order."""
         if not self.buckets:
             return None
-        key = lambda b: (b.event_ns, b.deadline_ns)
-        best = min(key(b) for b in self.buckets)
-        tied = [b for b in self.buckets if key(b) == best]
+        keys = [(b.event_ns, b.deadline_ns) for b in self.buckets]
+        best = min(keys)
+        tied = [b for b, key in zip(self.buckets, keys) if key == best]
         if self.controller is not None and len(tied) > 1:
             return tied[self.controller.choose("traffic.event", len(tied))]
         return tied[0]
@@ -354,6 +345,7 @@ class TrafficScheduler:
         stamping admission/completion times on every ticket."""
         self.clock_ns = max(self.clock_ns, bucket.start_ns)
         self.buckets.remove(bucket)
+        self._retire(bucket)
         svc = self.svc
         if len(svc.batcher):
             raise KernelError(
@@ -434,6 +426,7 @@ class TrafficScheduler:
 
     def _fail_bucket(self, bucket: _Bucket) -> None:
         self.buckets.remove(bucket)
+        self._retire(bucket)
         self._fail_requests(bucket.requests)
 
     def _fail_requests(self, requests) -> None:

@@ -155,22 +155,34 @@ class PoolScanService:
         algorithm: "str | None" = None,
         s: "int | None" = None,
         exclusive: bool = False,
+    ) -> ScanRequest:
+        """Validate one pool submission into a keyed request with no id or
+        ticket yet (see :meth:`ScanService._prepare`).  Plan keys are
+        shape classes of the pool's one device config, so member 0's
+        validation serves every member."""
+        return self.workers[0]._prepare(
+            x, algorithm=algorithm, s=s, exclusive=exclusive
+        )
+
+    def _admit(
+        self,
+        req: ScanRequest,
+        *,
         t_arrival_ns: "float | None" = None,
         deadline_ns: "float | None" = None,
-    ) -> "tuple[ScanRequest, ScanTicket]":
-        """Validate one pool submission and track its ticket without
-        enqueueing — the admission seam the open-loop traffic scheduler
+    ) -> ScanTicket:
+        """Give a prepared request its pool id and simulated timestamps,
+        and track its ticket, without enqueueing — the admission seam the
+        open-loop traffic scheduler
         (:class:`repro.shard.scheduler.TrafficScheduler`) uses to own
-        batching itself while ids, tickets and routing stay pool-level."""
-        req_id = self._next_id
+        batching itself while ids, tickets and routing stay pool-level.
+        Arrivals it sheds never reach here, so they take no id."""
+        req.req_id = self._next_id
         self._next_id += 1
-        req, ticket = self.workers[0]._prepare(
-            x, algorithm=algorithm, s=s, exclusive=exclusive, req_id=req_id
-        )
-        req.t_arrival_ns = ticket.t_arrival_ns = t_arrival_ns
-        req.deadline_ns = ticket.deadline_ns = deadline_ns
-        self._tickets[req_id] = ticket
-        return req, ticket
+        req.t_arrival_ns = t_arrival_ns
+        req.deadline_ns = deadline_ns
+        ticket = self._tickets[req.req_id] = ScanTicket.for_request(req)
+        return ticket
 
     def submit(
         self,
@@ -182,9 +194,8 @@ class PoolScanService:
     ) -> ScanTicket:
         """Enqueue one 1-D scan on the pool; the serving device is chosen
         at ``flush`` time (the ticket's ``device`` field records it)."""
-        req, ticket = self._prepare(
-            x, algorithm=algorithm, s=s, exclusive=exclusive
-        )
+        req = self._prepare(x, algorithm=algorithm, s=s, exclusive=exclusive)
+        ticket = self._admit(req)
         self.batcher.add(req)
         return ticket
 

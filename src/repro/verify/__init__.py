@@ -2,10 +2,9 @@
 
 Two complementary checkers live here:
 
-* **Sync coverage** (:mod:`repro.verify.sync`, promoted from the old
-  ``repro.hw.verify``) — per-program data-race verification: every
-  conflicting access pair in a traced kernel must be ordered by
-  happens-before.  This is the *intra-launch* guarantee.
+* **Sync coverage** (:mod:`repro.verify.sync`) — per-program data-race
+  verification: every conflicting access pair in a traced kernel must be
+  ordered by happens-before.  This is the *intra-launch* guarantee.
 
 * **Schedule fuzzing** (:mod:`repro.verify.controller`,
   :mod:`repro.verify.invariants`, :mod:`repro.verify.fuzz`) — the

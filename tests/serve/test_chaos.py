@@ -355,3 +355,58 @@ class TestPoolChaos:
         health = svc.member_health()
         assert health[0].state == DEGRADED
         assert health[0].fault_events > 0
+
+
+class TestRunningLaunchTotals:
+    """``ServiceStats`` keeps O(1) running totals; after a chaos run with
+    retries they must equal a re-sum of the launch history."""
+
+    def test_totals_equal_resum_of_launches(self):
+        from repro.graph import llm_sample
+
+        pool = _chaos_pool(
+            dev0=FaultPlan(seed=_seed(14), transient_rate=0.3),
+            dev1=FaultPlan(seed=_seed(2), transient_rate=0.3),
+            dev2=FaultPlan(seed=_seed(3), transient_rate=0.3),
+        )
+        svc = PoolScanService(pool=pool, retry=RetryPolicy(max_attempts=8))
+        graph = llm_sample(96, k=8, p=0.75, s=32)
+        rng = np.random.default_rng((SEED0, 77))
+        for r in range(3):
+            for i in range(4):  # same-shape scans: batched launches
+                svc.submit(_x(900, seed=10 * r + i), algorithm="scanu", s=32)
+            # mcscan cannot batch: single launches
+            svc.submit(_x(2000, seed=50 + r), algorithm="mcscan", s=32)
+            probs = (rng.permutation(96) + 1).astype(np.float16)
+            svc.submit_graph(graph, {"probs": probs})
+            svc.flush()
+
+        kinds = set()
+        for i, worker in enumerate(svc.workers):
+            st = worker.stats
+            recs = st.launches
+            kinds |= {r.kind for r in recs}
+            assert st.device_ns == sum(r.device_ns for r in recs)
+            assert st.n_elements == sum(r.n_elements for r in recs)
+            assert st.coalesced_requests == sum(
+                r.requests for r in recs if r.kind == "batched"
+            )
+            assert st.tuned_launches == sum(1 for r in recs if r.tuned)
+            assert st.tuned_requests == sum(r.requests for r in recs if r.tuned)
+            assert st.total_retries == sum(r.retries for r in recs)
+            assert st.total_faults == sum(r.faults for r in recs)
+            assert st.total_backoff_ns == sum(r.backoff_ns for r in recs)
+            assert st.faulted_launches == sum(1 for r in recs if r.retries)
+            if recs:
+                assert st.plan_hit_rate == sum(r.plan_hit for r in recs) / len(recs)
+                assert st.timeline_hit_rate == (
+                    sum(r.timeline_hit for r in recs) / len(recs)
+                )
+                assert st.bandwidth_gbps == (
+                    sum(r.io_bytes for r in recs) / st.device_ns
+                )
+            # the router's busy time is exactly the member's launch time
+            assert svc.busy_ns[i] == sum(r.device_ns for r in recs)
+        assert kinds == {"batched", "single", "graph"}
+        assert sum(w.stats.total_retries for w in svc.workers) > 0
+        svc.shutdown()

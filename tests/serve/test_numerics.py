@@ -19,6 +19,7 @@ from repro.core.replay import plan_compute
 from repro.hw.config import toy_config
 from repro.hw.datatypes import FP16, INT8
 from repro.serve import ScanService, assemble_rows, group_scan_values
+from repro.serve.numerics import FP16_TO_FP32
 
 
 def _rows(rng, dtype, sizes):
@@ -30,6 +31,43 @@ def _rows(rng, dtype, sizes):
             x = rng.integers(-20, 21, size=n).astype(np.int8)
         out.append(x)
     return out
+
+
+#: fp16 bit patterns of the IEEE special classes the widening must carry
+_NAN_PAYLOADS = (0x7E00, 0x7E55, 0xFE01, 0x7C01, 0xFD2A)  # quiet and signalling
+_INFS = (0x7C00, 0xFC00)
+_SUBNORMALS = (0x0001, 0x0155, 0x03FF, 0x8001, 0x83FF)
+_NEG_ZERO = 0x8000
+
+
+def _special_row(rng, n: int, bits, at: int) -> np.ndarray:
+    """An exact fp16 row with ``bits`` written from position ``at`` on."""
+    x, _ = exact_fp16_scan_input(n, rng)
+    x = x.copy()
+    pattern = np.asarray(bits, dtype=np.uint16).view(np.float16)
+    x[at : at + len(pattern)] = pattern
+    return x
+
+
+class TestFp16WideningTable:
+    def test_every_bit_pattern_matches_astype(self):
+        bits = np.arange(1 << 16, dtype=np.uint16)
+        want = bits.view(np.float16).astype(np.float32).view(np.uint32)
+        got = np.take(FP16_TO_FP32, bits).view(np.uint32)
+        assert FP16_TO_FP32.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_special_classes_widen_exactly(self):
+        def widened(b):
+            return FP16_TO_FP32[b].view(np.uint32)
+
+        assert widened(_NEG_ZERO) == np.float32(-0.0).view(np.uint32)
+        assert widened(0x7C00) == np.float32(np.inf).view(np.uint32)
+        assert widened(0xFC00) == np.float32(-np.inf).view(np.uint32)
+        assert FP16_TO_FP32[0x0001] == np.float32(2.0**-24)
+        for b in _NAN_PAYLOADS:
+            assert np.isnan(FP16_TO_FP32[b])
+        assert not FP16_TO_FP32.flags.writeable
 
 
 class TestAssembleRows:
@@ -82,6 +120,40 @@ class TestGroupScanBitIdentity:
             want = plan_compute(x, "mcscan", dtype, exclusive=True)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("algorithm", ["scanu", "vector"])
+    @pytest.mark.parametrize(
+        "bits, at",
+        [
+            (_NAN_PAYLOADS[:1], 0),
+            (_NAN_PAYLOADS, 7),
+            (_INFS[:1], 3),
+            (_INFS, 3),
+            (_SUBNORMALS, 0),
+            (_SUBNORMALS + (_NEG_ZERO,), 40),
+            ((_NEG_ZERO,), 0),
+        ],
+        ids=[
+            "leading-nan", "nan-payloads", "inf", "inf-minus-inf",
+            "subnormals", "subnormals-neg-zero", "leading-neg-zero",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "sizes", [(256, 256), (64, 257, 300)], ids=["uniform", "ragged"]
+    )
+    def test_special_values_match_per_request(
+        self, rng, algorithm, bits, at, sizes
+    ):
+        """NaN payloads, infinities, subnormals and -0 widen and scan to
+        the same bits as the per-request path (compared as raw bytes, so
+        NaN payloads and the sign of zero count)."""
+        xs = [_special_row(rng, n, bits, at) for n in sizes]
+        values, _ = group_scan_values(xs, algorithm=algorithm, in_dtype=FP16)
+        for x, got in zip(xs, values):
+            want = plan_compute(x, algorithm, FP16)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_trailing_pad_never_leaks(self, rng):
         """A short row computed inside a wide stacked pass equals its own

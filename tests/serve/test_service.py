@@ -371,12 +371,15 @@ class TestSubmitSequenceOrdering:
 
     def test_enqueue_rejects_duplicate_request_id(self, service):
         from repro.errors import KernelError
+        from repro.serve.service import ScanTicket
 
-        req, ticket = service._prepare(_x(512), s=16)
-        service.enqueue(req, ticket)
-        req2, ticket2 = service._prepare(_x(512, 1), s=16, req_id=req.req_id)
+        req = service._prepare(_x(512), s=16)
+        req.req_id = 0
+        service.enqueue(req, ScanTicket.for_request(req))
+        req2 = service._prepare(_x(512, 1), s=16)
+        req2.req_id = req.req_id
         with pytest.raises(KernelError, match="already tracked"):
-            service.enqueue(req2, ticket2)
+            service.enqueue(req2, ScanTicket.for_request(req2))
 
     def test_sort_asserts_unique_submit_sequence(self):
         from repro.errors import KernelError

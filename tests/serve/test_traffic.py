@@ -99,6 +99,15 @@ class TestGenerator:
         assert x.dtype == np.float16
         assert float(np.abs(x).max()) <= 2.0
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8])
+    def test_make_input_table_cast_matches_astype(self, dtype):
+        """The table cast keeps the payload stream bit for bit: same
+        draws, same dtype, same bytes as casting every element."""
+        got = make_input(np.random.default_rng(5), 3000, dtype)
+        want = np.random.default_rng(5).integers(-2, 3, 3000).astype(dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestReport:
     def test_percentile_nearest_rank(self):

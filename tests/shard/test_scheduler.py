@@ -316,3 +316,69 @@ class TestFailover:
         # rerouted work landed on the survivor
         assert any(t.device == 1 for t in rep.tickets)
         assert not svc._tickets and svc.pending == 0
+
+
+class TestPrepareOnce:
+    """Admission validates each arrival once, numbers only admitted ones,
+    and the shape key set at validation rides the request everywhere."""
+
+    def _counting_prepare(self, monkeypatch):
+        from repro.serve.service import ScanService
+
+        calls = []
+        original = ScanService._prepare
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScanService, "_prepare", counted)
+        return calls
+
+    def test_prepare_runs_once_per_offered_arrival(self, monkeypatch):
+        calls = self._counting_prepare(monkeypatch)
+        # overloaded with a tight SLO: both admitted and shed arrivals
+        rep = run_traffic(
+            pool(), spec(rate_rps=4_000_000.0, slo_ns=10_000.0), 3, s=S
+        )
+        assert rep.shed > 0 and rep.served > 0
+        assert len(calls) == rep.offered
+
+    def test_shed_arrivals_take_no_request_id(self):
+        svc = pool()
+        rep = run_traffic(
+            svc, spec(rate_rps=4_000_000.0, slo_ns=10_000.0), 3, s=S
+        )
+        assert rep.accounted() and rep.shed > 0
+        ids = sorted(t.req_id for t in rep.tickets + rep.failed_tickets)
+        assert len(ids) == rep.admitted
+        assert ids == list(range(ids[0], ids[0] + rep.admitted))
+        assert svc._next_id == ids[-1] + 1
+
+    def test_carried_key_survives_failover_recall(self, monkeypatch):
+        svc = PoolScanService(2, config=toy_config(), max_batch=8)
+        svc.workers[0].ctx.device.fault_plan = FaultPlan(die_at_launch=2)
+        recalled = []
+        original = PoolScanService._recall
+
+        def recall(self, worker, group, fault):
+            leftover = original(self, worker, group, fault)
+            recalled.extend(leftover.requests)
+            return leftover
+
+        monkeypatch.setattr(PoolScanService, "_recall", recall)
+        rep = run_traffic(svc, spec(requests=64, slo_ns=2_000_000.0), 11, s=S)
+        assert rep.accounted() and rep.failed == 0 and svc._dead[0]
+        assert recalled
+        cache = svc.workers[1].cache
+        for req in recalled:
+            if svc.batcher._batchable(req):
+                fresh = cache.key_batched(
+                    req.algorithm, 1, req.n, req.plan_dtype, s=req.s
+                )
+            else:
+                fresh = cache.key_1d(
+                    req.algorithm, req.n, req.plan_dtype, s=req.s,
+                    exclusive=req.exclusive, block_dim=req.block_dim,
+                )
+            assert req.key == fresh
