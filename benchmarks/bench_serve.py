@@ -1,4 +1,4 @@
-"""Serve layer: plan-cache latency + request batching + replay engines.
+"""Serve layer: plan-cache latency + request batching + memoized replay.
 
 Asserts the serve-layer claims:
 
@@ -12,8 +12,8 @@ Asserts the serve-layer claims:
   service issues the identical op DAG, so the match is exact);
 * replaying a cached plan from its memoized timeline is at least 5x
   cheaper (host wall time) than re-running the reference discrete-event
-  scheduler per execute (the pre-memoization behaviour), with all replay
-  engines producing ns-identical timelines.
+  scheduler per execute (the pre-memoization behaviour), with both paths
+  producing ns-identical timelines.
 
 Host-timing assertions use best-of repeats to tolerate shared-runner
 noise; the 5x bars are structural (emission dominates the cold cost, and
@@ -61,8 +61,6 @@ def test_serve_layer(benchmark, results_dir):
     assert all(r["timelines_identical"] for r in replay.values())
     assert replay["scanul1"]["replay_cached_speedup"] >= 5.0
     assert all(r["replay_cached_speedup"] >= 5.0 for r in replay.values())
-    # the compiled engine must also beat the reference DES outright
-    assert all(r["replay_compiled_speedup"] >= 1.1 for r in replay.values())
     # end-to-end execute still pays the functional NumPy compute, so the
     # bar is modest — but removing the scheduler must be visible
     assert replay["scanul1"]["execute_speedup"] >= 1.1

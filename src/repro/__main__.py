@@ -8,8 +8,8 @@ Subcommands:
 * ``experiment`` — regenerate one of the paper's figures (or ``all``) and
   print its series table;
 * ``serve-bench`` — measure the plan-cached serving layer (cache-hit
-  latency vs trace-every-call, batched-submission throughput, and the
-  DES / compiled / memoized replay-engine comparison);
+  latency vs trace-every-call, batched-submission throughput, and
+  memoized-timeline replay vs re-running the DES);
 * ``tune`` — sweep plan configurations per workload shape on the
   simulator and write the persistent tuned-plan store that the serving
   layer consults (``--smoke`` runs the CI self-check);

@@ -18,8 +18,8 @@ Two execution disciplines are offered:
   analysis) runs once per shape; each subsequent execution re-runs only the
   functional NumPy computation, and the timeline itself is memoized on the
   traced program (the op DAG's costs are fixed at trace time, so replays
-  are deterministic — see :mod:`repro.hw.compiled`).  This is the
-  substrate of the request-serving layer in :mod:`repro.serve`.
+  are deterministic — see :class:`repro.hw.device.TracedKernel`).  This is
+  the substrate of the request-serving layer in :mod:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class ScanPlan:
         self.released = True
         return freed
 
-    def time_ns(self, *, engine: str = "cached") -> float:
+    def time_ns(self) -> float:
         """Simulated end-to-end nanoseconds of one launch of this plan
         (device timeline + launch overhead), without executing numerics.
 
@@ -188,7 +188,7 @@ class ScanPlan:
                 f"plan for {self.algorithm} (padded={self.padded}) has been "
                 f"released; its device tensors are gone — build a new plan"
             )
-        return self.ctx.device.time_traced(self.traced, engine=engine)
+        return self.ctx.device.time_traced(self.traced)
 
     @property
     def timeline_hits(self) -> int:
@@ -226,7 +226,6 @@ class ScanPlan:
         x: np.ndarray,
         *,
         sync_gm: bool = False,
-        engine: str = "cached",
         audit_timing: "bool | None" = None,
     ) -> ScanResult:
         """Run the plan on new input values (the cache-hit path).
@@ -235,12 +234,11 @@ class ScanPlan:
         device GM mirrors are also updated (slower; useful when chaining
         device-level inspection onto a plan execution).
 
-        ``engine`` and ``audit_timing`` are forwarded to
-        :meth:`~repro.hw.device.AscendDevice.replay`: the default serves
-        the memoized timeline (ns-identical to rescheduling, since the op
-        DAG's costs are fixed at trace time); ``engine="des"`` forces the
-        reference scheduler and ``audit_timing=True`` cross-checks the
-        served timeline against it.
+        The replay serves the memoized timeline (ns-identical to
+        rescheduling, since the op DAG's costs are fixed at trace time);
+        ``audit_timing`` is forwarded to
+        :meth:`~repro.hw.device.AscendDevice.replay`, where ``True``
+        cross-checks the served timeline against a fresh DES run.
         """
         if self.released:
             raise KernelError(
@@ -250,7 +248,7 @@ class ScanPlan:
         x = np.asarray(x)
         if self.is_batched:
             return self._execute_batched(
-                x, sync_gm=sync_gm, engine=engine, audit_timing=audit_timing
+                x, sync_gm=sync_gm, audit_timing=audit_timing
             )
         if x.ndim != 1:
             raise ShapeError(f"1-D plan expects a 1-D array, got shape {x.shape}")
@@ -272,9 +270,7 @@ class ScanPlan:
         if sync_gm:
             self.x_gm.write(xp)
             self.y_gm.write(values)
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
+        trace = self.ctx.device.replay(self.traced, audit_timing=audit_timing)
         self.executions += 1
         io = n * self._io_bytes_per_element()
         return ScanResult(values[:n], trace, n, io)
@@ -284,7 +280,6 @@ class ScanPlan:
         x: np.ndarray,
         *,
         sync_gm: bool,
-        engine: str = "cached",
         audit_timing: "bool | None" = None,
     ) -> ScanResult:
         if x.ndim != 2:
@@ -311,9 +306,7 @@ class ScanPlan:
         if sync_gm:
             self.x_gm.write(xp)
             self.y_gm.write(values)
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
+        trace = self.ctx.device.replay(self.traced, audit_timing=audit_timing)
         self.executions += 1
         n = rows * row_len
         io = n * self._io_bytes_per_element()
@@ -322,7 +315,6 @@ class ScanPlan:
     def replay_timing(
         self,
         *,
-        engine: str = "cached",
         audit_timing: "bool | None" = None,
     ):
         """Replay this plan's simulated timeline *without* the numerics.
@@ -340,9 +332,7 @@ class ScanPlan:
                 f"plan for {self.algorithm} (padded={self.padded}) has been "
                 f"released; its device tensors are gone — build a new plan"
             )
-        trace = self.ctx.device.replay(
-            self.traced, engine=engine, audit_timing=audit_timing
-        )
+        trace = self.ctx.device.replay(self.traced, audit_timing=audit_timing)
         self.executions += 1
         return trace
 

@@ -50,8 +50,8 @@ class DeadlockError(SchedulerError):
 
 
 class TimingAuditError(SchedulerError):
-    """A compiled/memoized timeline disagreed with the reference discrete-
-    event scheduler (``AscendDevice.replay(..., audit_timing=True)``)."""
+    """A memoized timeline disagreed with a fresh run of the discrete-event
+    scheduler (``AscendDevice.replay(..., audit_timing=True)``)."""
 
 
 class DeviceFault(ReproError):

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 from ..errors import KernelError, SchedulerError
 from .cache import L2Cache
-from .compiled import CompiledProgram, assert_timelines_equal
 from .config import ASCEND_910B4, DeviceConfig
 from .isa import CUBE_ENGINES, VECTOR_ENGINES, CostModel, Op
 from .memory import GlobalMemory, GlobalSlice, GlobalTensor
-from .scheduler import Program, Timeline, simulate
+from .scheduler import Program, Timeline, assert_timelines_equal, simulate
 from .trace import EngineInfo, Trace
 
 __all__ = ["AscendDevice", "Emitter", "CoreHandle", "TracedKernel", "HazardAccess"]
@@ -269,12 +268,12 @@ class TracedKernel:
     is what the serve layer's plan cache banks on.
 
     Because every op's cycles/bytes are fixed at trace time, the timeline
-    itself is deterministic per device config.  Replay therefore memoizes
-    both the compiled program (:class:`~repro.hw.compiled.CompiledProgram`)
-    and the first computed :class:`Timeline` on this record; subsequent
-    replays against the same config are a cache hit and skip scheduling
-    entirely.  :attr:`timeline_hits` / :attr:`timeline_misses` count these
-    (the serve layer surfaces them as the timeline-cache hit rate)."""
+    itself is deterministic per device config.  Replay therefore runs the
+    DES (:func:`~repro.hw.scheduler.simulate`) once and memoizes the
+    :class:`Timeline` on this record; subsequent replays against the same
+    config are a cache hit and skip scheduling entirely.
+    :attr:`timeline_hits` / :attr:`timeline_misses` count these (the serve
+    layer surfaces them as the timeline-cache hit rate)."""
 
     program: Program
     label: str
@@ -282,11 +281,10 @@ class TracedKernel:
     #: replays served from the memoized timeline / computed fresh
     timeline_hits: int = 0
     timeline_misses: int = 0
-    _compiled: "CompiledProgram | None" = field(default=None, repr=False)
     _timeline: "Timeline | None" = field(default=None, repr=False)
-    #: config the cached timeline/compiled form were built against —
-    #: replaying the same trace on a differently-configured device
-    #: invalidates both rather than serving stale timings
+    #: config the cached timeline was built against — replaying the same
+    #: trace on a differently-configured device invalidates it rather
+    #: than serving stale timings
     _timeline_config: "DeviceConfig | None" = field(default=None, repr=False)
 
     @property
@@ -294,8 +292,7 @@ class TracedKernel:
         return self.program.ops
 
     def invalidate_timeline(self) -> None:
-        """Drop the memoized timeline and compiled form (counters persist)."""
-        self._compiled = None
+        """Drop the memoized timeline (counters persist)."""
         self._timeline = None
         self._timeline_config = None
 
@@ -324,8 +321,8 @@ class AscendDevice:
         #: when True, every emitted op logs its data accesses (HazardAccess)
         #: so tests can independently verify synchronization coverage
         self.audit_hazards = audit_hazards
-        #: when True, every replay re-runs the reference DES alongside the
-        #: compiled/memoized timeline and raises TimingAuditError on any
+        #: when True, every replay re-runs the DES alongside the memoized
+        #: timeline and raises TimingAuditError on any
         #: ns-level disagreement (per-call override: replay(audit_timing=))
         self.audit_timing = audit_timing
         self.memory = GlobalMemory(config)
@@ -442,24 +439,17 @@ class AscendDevice:
         traced: TracedKernel,
         *,
         label: "str | None" = None,
-        engine: str = "cached",
         audit_timing: "bool | None" = None,
     ) -> Trace:
         """Schedule a previously traced op DAG and wrap the timeline in a
         fresh :class:`Trace`.
 
-        ``engine`` selects the scheduling path:
-
-        * ``"cached"`` (default) — serve the memoized timeline if one exists
-          for this device config, otherwise compute it with the compiled
-          engine and cache it on ``traced``;
-        * ``"compiled"`` — always run :class:`CompiledProgram` (compiled
-          form is still cached, the timeline is recomputed);
-        * ``"des"`` — always run the reference :func:`simulate` (PR 1
-          behaviour; nothing is cached).
+        The timeline is the memoized one if ``traced`` already holds it for
+        this device config; otherwise :func:`simulate` computes it and it
+        is memoized on ``traced``.
 
         ``audit_timing`` (default: the device's ``audit_timing`` flag)
-        re-runs the reference DES regardless of path and raises
+        re-runs :func:`simulate` and raises
         :class:`~repro.errors.TimingAuditError` unless the served timeline
         is ns-identical — the escape hatch for distrusting the cache.
 
@@ -471,7 +461,7 @@ class AscendDevice:
         if self.fault_plan is not None:
             self.fault_plan.on_launch(self.name)
         audit = self.audit_timing if audit_timing is None else audit_timing
-        timeline = self._timeline_for(traced, engine)
+        timeline = self._timeline_for(traced)
 
         if audit:
             reference = simulate(traced.program, self.config)
@@ -494,39 +484,33 @@ class AscendDevice:
             self._capture.append(traced)
         return trace
 
-    def _timeline_for(self, traced: TracedKernel, engine: str) -> Timeline:
-        """Produce ``traced``'s timeline via the selected engine, keeping
-        the per-trace memoization and hit/miss counters consistent."""
-        if engine not in ("cached", "compiled", "des"):
-            raise SchedulerError(f"unknown replay engine {engine!r}")
-        if engine == "des":
-            return simulate(traced.program, self.config)
+    def _timeline_for(self, traced: TracedKernel) -> Timeline:
+        """``traced``'s timeline on this device: the memoized one, or a
+        fresh :func:`simulate` run that is memoized for the next call."""
         if traced._timeline_config is not self.config:
             traced.invalidate_timeline()
             traced._timeline_config = self.config
-        if engine == "cached" and traced._timeline is not None:
+        if traced._timeline is not None:
             traced.timeline_hits += 1
             return traced._timeline
-        if traced._compiled is None:
-            traced._compiled = CompiledProgram(traced.program, self.config)
-        timeline = traced._compiled.run()
+        timeline = simulate(traced.program, self.config)
         traced._timeline = timeline
         traced.timeline_misses += 1
         return timeline
 
-    def time_traced(self, traced: TracedKernel, *, engine: str = "compiled") -> float:
+    def time_traced(self, traced: TracedKernel) -> float:
         """Timing-only evaluation hook: end-to-end simulated nanoseconds of
         one launch of ``traced`` (device timeline + launch overhead),
         without materialising a :class:`Trace` and without touching any
         functional state.
 
         This is the autotuner's cost probe (:mod:`repro.tune`): candidate
-        plans are traced once and scored through the compiled timeline, so
-        search never executes numerics.  The compiled form and timeline are
-        cached on ``traced`` exactly as :meth:`replay` would cache them.
+        plans are traced once and scored through the memoized timeline, so
+        search never executes numerics.  The timeline is memoized on
+        ``traced`` exactly as :meth:`replay` memoizes it.
         """
         return (
-            self._timeline_for(traced, engine).total_ns
+            self._timeline_for(traced).total_ns
             + self.config.costs.kernel_launch_ns
         )
 

@@ -24,12 +24,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..errors import DeadlockError, SchedulerError
+from ..errors import DeadlockError, SchedulerError, TimingAuditError
 from .config import DeviceConfig
 from .hbm import waterfill
 from .isa import Op
 
-__all__ = ["Program", "Timeline", "simulate"]
+__all__ = ["Program", "Timeline", "assert_timelines_equal", "simulate"]
 
 _EPS = 1e-9
 #: flows are considered drained below this many bytes; large enough that the
@@ -47,7 +47,7 @@ class Program:
     ``deps`` plus the active fence edge, deduplicated once — and stores
     them in :attr:`op_deps`.  ``op.deps`` itself is never mutated, so one
     ``Op`` record can safely be added to several programs (each with its
-    own fence state) and both schedulers skip per-run deduplication.
+    own fence state) and the scheduler skips per-run deduplication.
     """
 
     def __init__(self, num_engines: int):
@@ -313,3 +313,36 @@ def simulate(
             try_start(e)
 
     return Timeline(start_ns, finish_ns, t)
+
+
+def assert_timelines_equal(
+    got: Timeline, want: Timeline, *, label: str = "program"
+) -> None:
+    """Raise :class:`TimingAuditError` unless the timelines are ns-identical.
+
+    Equality is exact (no tolerance): a memoized timeline must be exactly
+    what a fresh :func:`simulate` run produces, so any drift — even one
+    ulp — is a bug worth failing loudly on.
+    """
+    if len(got.start_ns) != len(want.start_ns):
+        raise TimingAuditError(
+            f"timing audit failed for {label}: op count differs "
+            f"({len(got.start_ns)} vs {len(want.start_ns)})"
+        )
+    if got.total_ns != want.total_ns:
+        raise TimingAuditError(
+            f"timing audit failed for {label}: total {got.total_ns!r} ns "
+            f"!= reference {want.total_ns!r} ns"
+        )
+    for i, (gs, ws) in enumerate(zip(got.start_ns, want.start_ns)):
+        if gs != ws:
+            raise TimingAuditError(
+                f"timing audit failed for {label}: op {i} start "
+                f"{gs!r} != reference {ws!r}"
+            )
+    for i, (gf, wf) in enumerate(zip(got.finish_ns, want.finish_ns)):
+        if gf != wf:
+            raise TimingAuditError(
+                f"timing audit failed for {label}: op {i} finish "
+                f"{gf!r} != reference {wf!r}"
+            )

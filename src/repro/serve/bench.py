@@ -16,13 +16,12 @@ Two claims are measured:
   directly on the same 2-D block.  When the batch fills its bucket the
   service issues the identical DAG, so the two agree to within noise; the
   acceptance bar is 10%;
-* **replay engines** — host wall time of re-scheduling one cached plan
-  via the three replay paths: the reference discrete-event scheduler
-  (``engine="des"``, the per-execute cost before timeline memoization),
-  the compiled array-form engine (``"compiled"``) and the memoized
-  timeline (``"cached"``).  All three produce ns-identical timelines
-  (asserted here and in the differential test suite); the acceptance bar
-  is a >= 5x wall-clock win of the memoized path over the DES path.
+* **replay: memoized vs reference** — host wall time of serving one
+  cached plan's memoized timeline vs re-running the discrete-event
+  scheduler (:func:`~repro.hw.scheduler.simulate`, the per-execute cost
+  without timeline memoization).  Both produce ns-identical timelines
+  (asserted here); the acceptance bar is a >= 5x wall-clock win of the
+  memoized path over the DES.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import time
 import numpy as np
 
 from ..core.api import ScanContext
-from ..hw.compiled import assert_timelines_equal
 from ..hw.config import ASCEND_910B4, DeviceConfig
+from ..hw.scheduler import assert_timelines_equal, simulate
 from .plan import PlanCache
 from .service import ScanService
 
@@ -157,13 +156,16 @@ def bench_replay_engines(
     config: DeviceConfig = ASCEND_910B4,
     ctx: "ScanContext | None" = None,
 ) -> dict:
-    """Replay-path wall clock for one plan: DES vs compiled vs memoized.
+    """Replay-path wall clock for one plan: memoized timeline vs the DES.
 
     The replay timings isolate the scheduling cost (what timeline
-    memoization removes); the execute timings show the same three paths
-    end-to-end, where the functional NumPy computation is a shared floor.
-    Timelines from all three paths are asserted ns-identical, and one
-    ``audit_timing=True`` replay exercises the self-checking mode.
+    memoization removes): a direct :func:`simulate` run against a
+    memoized :meth:`~repro.hw.device.AscendDevice.replay`.  The execute
+    timings show both paths end-to-end, where the functional NumPy
+    computation is a shared floor; the baseline drops the memoized
+    timeline before each execute.  The two timelines are asserted
+    ns-identical, and one ``audit_timing=True`` replay exercises the
+    self-checking mode.
     """
     ctx = ctx if ctx is not None else ScanContext(config)
     cache = PlanCache(ctx)
@@ -172,25 +174,18 @@ def bench_replay_engines(
     device = ctx.device
     x = _bench_input(n, dtype)
 
-    des_trace = device.replay(traced, engine="des")
-    compiled_trace = device.replay(traced, engine="compiled")
-    cached_trace = device.replay(traced, engine="cached")
-    assert_timelines_equal(
-        compiled_trace.timeline, des_trace.timeline, label=f"{algorithm} compiled"
-    )
-    assert_timelines_equal(
-        cached_trace.timeline, des_trace.timeline, label=f"{algorithm} cached"
-    )
+    cached_trace = device.replay(traced)
+    reference = simulate(traced.program, device.config)
+    assert_timelines_equal(cached_trace.timeline, reference, label=algorithm)
     device.replay(traced, audit_timing=True)  # self-check mode stays live
 
-    replay_des_s = _best_of(lambda: device.replay(traced, engine="des"), repeats)
-    replay_compiled_s = _best_of(
-        lambda: device.replay(traced, engine="compiled"), repeats
+    replay_des_s = _best_of(
+        lambda: simulate(traced.program, device.config), repeats
     )
-    replay_cached_s = _best_of(
-        lambda: device.replay(traced, engine="cached"), repeats
+    replay_cached_s = _best_of(lambda: device.replay(traced), repeats)
+    execute_des_s = _best_of(
+        lambda: (traced.invalidate_timeline(), plan.execute(x)), repeats
     )
-    execute_des_s = _best_of(lambda: plan.execute(x, engine="des"), repeats)
     execute_cached_s = _best_of(lambda: plan.execute(x), repeats)
 
     return {
@@ -200,11 +195,7 @@ def bench_replay_engines(
         "s": s,
         "ops": len(traced.program),
         "replay_des_s": replay_des_s,
-        "replay_compiled_s": replay_compiled_s,
         "replay_cached_s": replay_cached_s,
-        "replay_compiled_speedup": replay_des_s / replay_compiled_s
-        if replay_compiled_s > 0
-        else float("inf"),
         "replay_cached_speedup": replay_des_s / replay_cached_s
         if replay_cached_s > 0
         else float("inf"),
@@ -214,7 +205,7 @@ def bench_replay_engines(
         if execute_cached_s > 0
         else float("inf"),
         "timelines_identical": True,  # assert_timelines_equal above raised otherwise
-        "device_us": des_trace.total_ns / 1e3,
+        "device_us": cached_trace.total_ns / 1e3,
     }
 
 
@@ -341,16 +332,15 @@ def format_report(report: dict) -> str:
     if report.get("replay_engines"):
         lines += [
             "",
-            "replay engines: scheduling wall time per execute "
-            "(timelines ns-identical across all three)",
-            f"{'algorithm':>10} {'ops':>5} {'DES':>10} {'compiled':>10} "
-            f"{'memoized':>10} {'cached/DES':>10}",
+            "replay: scheduling wall time per execute, memoized vs DES "
+            "(timelines ns-identical)",
+            f"{'algorithm':>10} {'ops':>5} {'DES':>10} "
+            f"{'memoized':>10} {'DES/cached':>10}",
         ]
         for r in report["replay_engines"]:
             lines.append(
                 f"{r['algorithm']:>10} {r['ops']:>5} "
                 f"{r['replay_des_s'] * 1e3:8.2f}ms "
-                f"{r['replay_compiled_s'] * 1e3:8.2f}ms "
                 f"{r['replay_cached_s'] * 1e3:8.2f}ms "
                 f"{r['replay_cached_speedup']:9.1f}x"
             )

@@ -1,8 +1,8 @@
-"""Candidate cost evaluation: trace once, score on the compiled timeline.
+"""Candidate cost evaluation: trace once, score on the memoized timeline.
 
 The evaluator never executes numerics during search — it emits the op DAG
 (one host-side Python trace per surviving candidate) and asks the device
-for the deterministic compiled-timeline device time via
+for the deterministic (DES-computed, memoized) device time via
 :meth:`~repro.hw.device.AscendDevice.time_traced`.  All device tensors
 are scratch, allocated inside a mark/release scope so a long sweep reuses
 HBM; the shared constant matrices are fetched *before* the mark (they are

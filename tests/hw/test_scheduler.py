@@ -11,12 +11,13 @@ CFG = toy_config()
 NS = CFG.cycle_ns  # ns per cycle
 
 
-def make_op(op_id, engine, cycles=0.0, deps=(), gm_bytes=0, latency_ns=0.0,
-            kind="vec"):
+def make_op(op_id, engine, cycles=0.0, deps=(), gm_bytes=0, eff_bytes=None,
+            latency_ns=0.0, kind="vec"):
     return Op(
         op_id=op_id, engine=engine, kind=kind, label=f"op{op_id}",
         deps=tuple(deps), cycles=cycles, gm_bytes=gm_bytes,
-        eff_bytes=float(gm_bytes), latency_ns=latency_ns,
+        eff_bytes=float(gm_bytes) if eff_bytes is None else eff_bytes,
+        latency_ns=latency_ns,
     )
 
 
@@ -118,6 +119,106 @@ class TestFlows:
         p.add(make_op(1, 0, gm_bytes=32768, latency_ns=10.0, kind="mte_in"))
         t = simulate(p, CFG)
         assert t.total_ns > 1e8
+
+
+class TestEdgeCases:
+    def test_zero_byte_flow_completes_at_latency(self):
+        # a flow whose effective bytes are below the drain epsilon never
+        # enters the draining set: it completes when its latency elapses
+        p = Program(1)
+        p.add(make_op(0, 0, gm_bytes=4, eff_bytes=1e-9, latency_ns=50.0))
+        t = simulate(p, CFG)
+        assert t.finish_ns[0] == pytest.approx(50.0)
+        assert t.total_ns == pytest.approx(50.0)
+
+    def test_barrier_only_program(self):
+        p = Program(1)
+        p.add(make_op(0, 0, cycles=10, kind="barrier"))
+        p.set_fence(0)
+        p.add(make_op(1, 0, cycles=10, kind="barrier"))
+        t = simulate(p, CFG)
+        assert t.start_ns[1] == pytest.approx(t.finish_ns[0])
+        assert t.total_ns == pytest.approx(20 * NS)
+
+    def test_mixed_flows_and_fixed_ops(self):
+        link, pool = CFG.mte_link_bytes_per_ns, CFG.hbm_bytes_per_ns
+        p = Program(3)
+        p.add(make_op(0, 0, gm_bytes=65536, latency_ns=20.0))
+        p.add(make_op(1, 1, cycles=100))
+        p.add(make_op(2, 2, gm_bytes=32768, latency_ns=5.0, deps=(1,)))
+        p.add(make_op(3, 1, cycles=10, deps=(0, 2)))
+        t = simulate(p, CFG)
+        # op0 drains alone at its link cap until op2 starts draining; the
+        # two then split the pool until op2 finishes, and op0 drains the
+        # rest alone again
+        overlap_from = 100 * NS + 5.0
+        assert t.start_ns[2] == pytest.approx(100 * NS)
+        assert t.finish_ns[2] == pytest.approx(overlap_from + 32768 / (pool / 2))
+        left = 65536 - (overlap_from - 20.0) * link - 32768
+        assert t.finish_ns[0] == pytest.approx(t.finish_ns[2] + left / link)
+        assert t.start_ns[3] == pytest.approx(t.finish_ns[0])
+        assert t.total_ns == pytest.approx(t.finish_ns[0] + 10 * NS)
+
+    def test_concurrent_flows_contend(self):
+        # 24 simultaneous flows of increasing size saturate the pool while
+        # two or more drain; the largest finishes its last 4 KiB alone
+        n_engines = 24
+        p = Program(n_engines)
+        for e in range(n_engines):
+            p.add(make_op(e, e, gm_bytes=4096 * (e + 1), latency_ns=10.0))
+        t = simulate(p, CFG)
+        assert t.finish_ns == sorted(t.finish_ns)
+        solo_rate = min(CFG.mte_link_bytes_per_ns, CFG.hbm_bytes_per_ns)
+        total_bytes = 4096 * n_engines * (n_engines + 1) // 2
+        expected = (
+            10.0 + (total_bytes - 4096) / CFG.hbm_bytes_per_ns + 4096 / solo_rate
+        )
+        assert t.total_ns == pytest.approx(expected, rel=1e-9)
+
+    def test_empty_program(self):
+        # engines without ops: empty per-op lists, zero makespan
+        t = simulate(Program(4), CFG)
+        assert t.total_ns == 0.0
+        assert t.start_ns == []
+        assert t.finish_ns == []
+
+    def test_duplicate_deps(self):
+        # duplicates mixed with a fence edge collapse to one edge each; the
+        # op waits for the later of its two producers exactly once
+        p = Program(3)
+        p.add(make_op(0, 0, cycles=10))
+        p.add(make_op(1, 1, cycles=30))
+        barrier = make_op(2, 2, cycles=0, deps=(1, 0, 1, 0), kind="barrier")
+        p.add(barrier)
+        p.set_fence(2)
+        p.add(make_op(3, 0, cycles=5, deps=(2, 1, 2)))
+        assert p.deps_of(2) == (1, 0)
+        assert p.deps_of(3) == (2, 1)
+        t = simulate(p, CFG)
+        assert t.start_ns[2] == pytest.approx(30 * NS)
+        assert t.start_ns[3] == pytest.approx(t.finish_ns[2])
+        assert t.total_ns == pytest.approx(35 * NS)
+
+    def test_deadlock_detected(self):
+        # a cycle across two engines (op1 waits on op2, op2 waits on op1)
+        # stalls after the independent op0 finishes; the error names the
+        # pending ops
+        p = Program(2)
+        p.add(make_op(0, 0, cycles=10))
+        p.add(make_op(1, 1, cycles=10))
+        p.add(make_op(2, 0, cycles=10, deps=(1,)))
+        p.op_deps[1] = (2,)  # forward dep injected post-validation
+        with pytest.raises(DeadlockError, match=r"2 ops pending.*\[1, 2\]"):
+            simulate(p, CFG)
+
+    def test_negative_duration_rejected_when_started(self):
+        # the duration check fires when the op starts, also behind a
+        # dependency on another engine
+        p = Program(2)
+        p.add(make_op(0, 0, cycles=10))
+        p.add(make_op(1, 1, cycles=-5, deps=(0,)))
+        with pytest.raises(SchedulerError, match="op 1 has negative duration"):
+            simulate(p, CFG)
 
 
 class TestBarriers:

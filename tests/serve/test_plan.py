@@ -138,12 +138,15 @@ def test_plan_execute_des_engine_and_audit(cache):
     plan = cache.get_1d("scanu", 900, "fp16", s=32)
     x = np.ones(900, dtype=np.float16)
     cached = plan.execute(x, audit_timing=True)
-    des = plan.execute(x, engine="des", audit_timing=True)
-    assert des.trace.total_ns == cached.trace.total_ns
-    # the des path never touches the memoization counters
     assert (plan.timeline_misses, plan.timeline_hits) == (1, 0)
+    # dropping the memoized timeline forces a fresh DES run, which the
+    # audit checks against a second, independent one
+    plan.traced.invalidate_timeline()
+    fresh = plan.execute(x, audit_timing=True)
+    assert fresh.trace.total_ns == cached.trace.total_ns
+    assert (plan.timeline_misses, plan.timeline_hits) == (2, 0)
     plan.execute(x)
-    assert (plan.timeline_misses, plan.timeline_hits) == (1, 1)
+    assert (plan.timeline_misses, plan.timeline_hits) == (2, 1)
 
 
 class TestLRUEviction:
