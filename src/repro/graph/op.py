@@ -32,6 +32,7 @@ NumPy sorts them equal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class TensorSpec:
 
     @property
     def n(self) -> "int | None":
-        return None if self.shape is None else int(np.prod(self.shape))
+        return None if self.shape is None else math.prod(self.shape)
 
 
 #: kind -> OpNode subclass

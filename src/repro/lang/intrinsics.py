@@ -227,10 +227,18 @@ def mmad(
             f"|A|={a.length}, |B|={b.length}, |C|={c.length}"
         )
 
-    a_mat = a.array[: m * k].reshape(m, k).astype(acc.np_dtype)
-    b_mat = b.array[: k * n].reshape(k, n).astype(acc.np_dtype)
+    a_mat = a.array[: m * k].reshape(m, k)
+    b_mat = b.array[: k * n].reshape(k, n)
     c_mat = c.array[: m * n].reshape(m, n)
-    prod = a_mat @ b_mat
+    if acc.np_dtype.kind == "f":
+        prod = a_mat.astype(acc.np_dtype) @ b_mat.astype(acc.np_dtype)
+    else:
+        # int8 -> int32 through a float64 GEMM (NumPy has no BLAS path for
+        # integer matmul).  Exact: every int8 product has |p| <= 2**14, so
+        # every partial sum is an integer with |sum| <= k * 2**14 < 2**53
+        # (L0A caps k at 65,536); the int64 hop makes the int32 cast below
+        # wrap exactly like the hardware accumulator.
+        prod = (a_mat.astype(np.float64) @ b_mat.astype(np.float64)).astype(np.int64)
     if accumulate:
         c_mat += prod.astype(c_mat.dtype)
     else:

@@ -6,9 +6,13 @@ import pytest
 
 from repro.errors import KernelError, ShapeError
 from repro.core.api import ScanContext
-from repro.core.matrices import upload_constants
+from repro.core.matrices import batched_tile_rows, upload_constants
 from repro.core.mcscan import MCScanKernel
-from repro.core.reference import exact_fp16_scan_input, inclusive_scan
+from repro.core.reference import (
+    batched_inclusive_scan,
+    exact_fp16_scan_input,
+    inclusive_scan,
+)
 from repro.core.scanu import ScanUKernel
 from repro.core.scanul1 import ScanUL1Kernel
 
@@ -74,6 +78,51 @@ class TestSingleCoreTiming:
         x, _ = exact_fp16_scan_input(n, rng)
         res = scan_ctx.scan(x, algorithm="scanu", s=s)
         assert res.trace.op_count_by_kind()["mmad"] == 4
+
+
+def scanul1_int8_model(x: np.ndarray, s: int, rows: int) -> np.ndarray:
+    """What int8 ScanUL1 computes today, row by row of a 2-D batch: per
+    ``rows x s`` tile ``A``, ``C1 = A @ 1_s`` wrapped to int8 (it is staged
+    through int8 L1), ``C2 = A @ U_s + L^- @ C1``, then the running partial
+    of the previous tiles' last ``C2`` element is added.  Deliberately *not*
+    the correct scan."""
+    batch, row_len = x.shape
+    tile = rows * s
+    padded = -(-row_len // tile) * tile
+    z = np.zeros((batch, padded), dtype=np.int64)
+    z[:, :row_len] = x
+    a = z.reshape(batch, padded // tile, rows, s)
+    c1 = np.repeat(a.sum(axis=3, keepdims=True), s, axis=3).astype(np.int8)
+    u = np.triu(np.ones((s, s), dtype=np.int64))
+    lm = np.tril(np.ones((rows, rows), dtype=np.int64), k=-1)
+    c2 = a @ u + lm @ c1.astype(np.int64)
+    last = c2[:, :, -1, -1]
+    carry = np.cumsum(last, axis=1) - last
+    y = c2 + carry[:, :, None, None]
+    return y.reshape(batch, padded)[:, :row_len].astype(np.int32)
+
+
+class TestScanUL1Int8Defect:
+    """Pins the known int8 ScanUL1 defect (C1 wraps in int8 L1) to an
+    explicit model on full-range input, 1-D and batched: the device result
+    equals the model and differs from the correct scan."""
+
+    @pytest.mark.parametrize("s", [64, 128])
+    def test_1d_matches_wrapping_model(self, scan_ctx, rng, s):
+        n = 3 * s * s + 5
+        x = rng.integers(-128, 128, n).astype(np.int8)
+        got = scan_ctx.scan(x, algorithm="scanul1", s=s).values
+        model = scanul1_int8_model(x[None, :], s, s)[0]
+        assert not np.array_equal(model, inclusive_scan(x))
+        assert np.array_equal(got, model)
+
+    @pytest.mark.parametrize("shape,s", [((16, 4096), 64), ((5, 700), 128)])
+    def test_batched_matches_wrapping_model(self, scan_ctx, rng, shape, s):
+        x = rng.integers(-128, 128, shape).astype(np.int8)
+        got = scan_ctx.batched_scan(x, algorithm="scanul1", s=s).values
+        model = scanul1_int8_model(x, s, batched_tile_rows(shape[1], s))
+        assert not np.array_equal(model, batched_inclusive_scan(x))
+        assert np.array_equal(got, model)
 
 
 class TestKernelValidation:

@@ -168,6 +168,95 @@ class TestMmad:
 
         run_mix(dev, body)
 
+    # -- int8 differential: bit for bit against an int64 matmul wrapped to
+    # int32 (the cube's int32 accumulator) --------------------------------
+
+    #: (m, k, n) of every int8 Mmad the kernels issue: A@U_s / A@1_s over
+    #: 128/32/16-row tiles, the ScanUL1 L^-@C1 accumulate shapes, and the
+    #: largest k a double-buffered L0A slot admits at m=16 (32 KiB / 16)
+    INT8_SHAPES = [
+        (128, 128, 128), (32, 128, 128), (16, 128, 128),
+        (16, 16, 128), (32, 32, 128), (16, 2048, 16),
+    ]
+
+    def _int8_mmad(self, dev, a_np, b_np, c0=None):
+        (m, k), n = a_np.shape, b_np.shape[1]
+        out = {}
+
+        def body(ctx, cpipe):
+            l0a, l0b, l0c = self._cube_bufs(
+                cpipe, ab_bytes=max(m * k, k * n), c_bytes=m * n * 4
+            )
+            a = l0a.alloc_tensor("int8", m * k)
+            a.array[:] = a_np.reshape(-1)
+            b = l0b.alloc_tensor("int8", k * n)
+            b.array[:] = b_np.reshape(-1)
+            c = l0c.alloc_tensor("int32", m * n)
+            if c0 is not None:
+                c.array[:] = c0.reshape(-1)
+            I.mmad(ctx, c, a, b, m, k, n, accumulate=c0 is not None)
+            out["c"] = c.array.reshape(m, n).copy()
+
+        run_mix(dev, body)
+        return out["c"]
+
+    @staticmethod
+    def _int8_expected(a_np, b_np, c0=None):
+        acc = a_np.astype(np.int64) @ b_np.astype(np.int64)
+        if c0 is not None:
+            acc += c0.astype(np.int64)
+        return acc.astype(np.int32)  # modular: int32 accumulator wraparound
+
+    @pytest.mark.parametrize("m,k,n", INT8_SHAPES)
+    def test_int8_full_range_random(self, dev, rng, m, k, n):
+        a_np = rng.integers(-128, 128, (m, k)).astype(np.int8)
+        b_np = rng.integers(-128, 128, (k, n)).astype(np.int8)
+        got = self._int8_mmad(dev, a_np, b_np)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, self._int8_expected(a_np, b_np))
+
+    @pytest.mark.parametrize("m,k,n", INT8_SHAPES)
+    @pytest.mark.parametrize("a_val,b_val", [(-128, -128), (127, 127), (-128, 127)])
+    def test_int8_extremes(self, dev, m, k, n, a_val, b_val):
+        a_np = np.full((m, k), a_val, dtype=np.int8)
+        b_np = np.full((k, n), b_val, dtype=np.int8)
+        got = self._int8_mmad(dev, a_np, b_np)
+        assert np.array_equal(got, self._int8_expected(a_np, b_np))
+        assert np.all(got == k * a_val * b_val)
+
+    @pytest.mark.parametrize("m,k,n", INT8_SHAPES)
+    def test_int8_mixed_sign_extremes(self, dev, rng, m, k, n):
+        a_np = rng.choice(np.array([-128, 127], dtype=np.int8), (m, k))
+        b_np = rng.choice(np.array([-128, -1, 1, 127], dtype=np.int8), (k, n))
+        got = self._int8_mmad(dev, a_np, b_np)
+        assert np.array_equal(got, self._int8_expected(a_np, b_np))
+
+    @pytest.mark.parametrize("m,k,n", INT8_SHAPES)
+    def test_int8_accumulate_wraps_like_int32(self, dev, rng, m, k, n):
+        i32 = np.iinfo(np.int32)
+        # even columns of C start just below INT32_MAX and gain a positive
+        # product, odd ones just above INT32_MIN and gain a negative one
+        up = np.arange(n) % 2 == 0
+        slack = rng.integers(0, 1000, (m, n))
+        c0 = np.where(up, i32.max - slack, i32.min + slack).astype(np.int32)
+        a_np = rng.integers(64, 128, (m, k)).astype(np.int8)
+        b_np = np.broadcast_to(np.where(up, 127, -128), (k, n)).astype(np.int8)
+        got = self._int8_mmad(dev, a_np, b_np, c0)
+        exact = c0.astype(np.int64) + a_np.astype(np.int64) @ b_np.astype(np.int64)
+        assert np.all((exact > i32.max) | (exact < i32.min))  # every entry wraps
+        assert np.array_equal(got, self._int8_expected(a_np, b_np, c0))
+
+    def test_int8_max_k_defeats_a_float32_gemm(self, dev):
+        """All-127 at k=2048: partial sums pass 2**24 with odd values, so
+        only an exact (not fp32) GEMM reproduces the int32 accumulator."""
+        m, k, n = 16, 2048, 16
+        a_np = np.full((m, k), 127, dtype=np.int8)
+        b_np = np.full((k, n), 127, dtype=np.int8)
+        expected = self._int8_expected(a_np, b_np)
+        f32 = (a_np.astype(np.float32) @ b_np.astype(np.float32)).astype(np.int64)
+        assert not np.array_equal(f32, expected)  # the input discriminates
+        assert np.array_equal(self._int8_mmad(dev, a_np, b_np), expected)
+
     def test_wrong_accumulator_dtype(self, dev):
         def body(ctx, cpipe):
             l0a, l0b, l0c = self._cube_bufs(cpipe)
