@@ -361,6 +361,8 @@ class ScanContext:
         #: one is :class:`repro.tune.TuneStore` — duck-typed to keep core
         #: free of a tune dependency)
         self.tune_store = None
+        #: NumPy dtype -> resolved plan dtype (see ``_as_plan_dtype``)
+        self._np_plan_dtypes: "dict[np.dtype, DType]" = {}
 
     # -- constants cache ------------------------------------------------------
 
@@ -401,7 +403,17 @@ class ScanContext:
         )
 
     def _as_plan_dtype(self, dtype) -> DType:
-        """Accept a device dtype, its name, or a NumPy dtype for plans."""
+        """Accept a device dtype, its name, or a NumPy dtype for plans.
+
+        A NumPy dtype resolves once per context: only a resolution that
+        succeeds is memoized, so the memo holds at most the fp16 and int8
+        dtypes and a rejected dtype raises every time."""
+        if isinstance(dtype, np.dtype):
+            dt = self._np_plan_dtypes.get(dtype)
+            if dt is None:
+                dt = self._input_dtype(np.empty(0, dtype=dtype))
+                self._np_plan_dtypes[dtype] = dt
+            return dt
         if isinstance(dtype, DType):
             dt = dtype
         elif isinstance(dtype, str) and dtype in ("fp16", "int8"):

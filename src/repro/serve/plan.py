@@ -33,6 +33,10 @@ from ..errors import ConfigError, KernelError
 
 __all__ = ["PlanKey", "PlanCache"]
 
+#: distinct argument tuples each of ``key_1d`` / ``key_batched`` memoizes;
+#: past the cap the oldest entry is forgotten (it is rebuilt on next use)
+KEY_MEMO_CAP = 1024
+
 
 @dataclass(frozen=True)
 class PlanKey:
@@ -56,6 +60,13 @@ def _pad_unit(algorithm: str, row_len: int, s: int, *, batched: bool) -> int:
     if batched:
         return batched_tile_rows(row_len, s) * s
     return s * s
+
+
+def _remember(memo: dict, args: tuple, key: PlanKey) -> None:
+    """Memoize ``args -> key``, forgetting the oldest entry at the cap."""
+    if len(memo) >= KEY_MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[args] = key
 
 
 class PlanCache:
@@ -83,6 +94,10 @@ class PlanCache:
         self.evicted_gm_bytes = 0
         #: cumulative host seconds spent building plans (the cold cost)
         self.build_host_s = 0.0
+        #: key-argument tuple -> PlanKey, per key kind (see KEY_MEMO_CAP);
+        #: a call that raises is never memoized, so validation still runs
+        self._keys_1d: "dict[tuple, PlanKey]" = {}
+        self._keys_batched: "dict[tuple, PlanKey]" = {}
 
     # -- key construction ---------------------------------------------------
 
@@ -96,6 +111,13 @@ class PlanCache:
         exclusive: bool = False,
         block_dim: "int | None" = None,
     ) -> PlanKey:
+        args = (algorithm, n, dtype, s, exclusive, block_dim)
+        try:
+            return self._keys_1d[args]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable dtype spelling: no memo
+            args = None
         if algorithm not in PLAN_1D_ALGORITHMS:
             raise KernelError(
                 f"unknown algorithm {algorithm!r}; "
@@ -103,7 +125,7 @@ class PlanCache:
             )
         dt = self.ctx._as_plan_dtype(dtype)
         unit = _pad_unit(algorithm, n, s, batched=False)
-        return PlanKey(
+        key = PlanKey(
             algorithm,
             padded_length(n, unit),
             dt.name,
@@ -112,10 +134,20 @@ class PlanCache:
             exclusive,
             block_dim,
         )
+        if args is not None:
+            _remember(self._keys_1d, args, key)
+        return key
 
     def key_batched(
         self, algorithm: str, batch: int, row_len: int, dtype, *, s: int = 128
     ) -> PlanKey:
+        args = (algorithm, batch, row_len, dtype, s)
+        try:
+            return self._keys_batched[args]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable dtype spelling: no memo
+            args = None
         if algorithm not in BATCHED_ALGORITHMS:
             raise KernelError(
                 f"unknown batched algorithm {algorithm!r}; "
@@ -123,7 +155,10 @@ class PlanCache:
             )
         dt = self.ctx._as_plan_dtype(dtype)
         unit = _pad_unit(algorithm, row_len, s, batched=True)
-        return PlanKey(algorithm, padded_length(row_len, unit), dt.name, batch, s)
+        key = PlanKey(algorithm, padded_length(row_len, unit), dt.name, batch, s)
+        if args is not None:
+            _remember(self._keys_batched, args, key)
+        return key
 
     # -- lookup / build -----------------------------------------------------
 

@@ -34,6 +34,7 @@ __all__ = [
     "TrafficSpec",
     "TrafficReport",
     "generate_arrivals",
+    "iter_payloads",
     "make_input",
     "percentile_ns",
 ]
@@ -190,14 +191,42 @@ def generate_arrivals(spec: TrafficSpec, seed: int) -> "list[Arrival]":
 #: directly, -2 and -1 from the end
 _PAYLOAD_VALUES = np.array([0, 1, 2, -2, -1])
 
+#: elements drawn per ``rng.integers`` call when a stream is drawn in
+#: chunks (512 KB of fp16); a longer single payload is its own chunk
+PAYLOAD_CHUNK = 1 << 18
+
+
+def iter_payloads(rng, sizes, dtype):
+    """Yield one request payload per entry of ``sizes``, in order: small
+    integers cast to the serving dtype, so fp16 scans stay exact (no
+    rounding ambiguity against the oracle).
+
+    Payloads are drawn lazily, one ``rng.integers`` call per chunk of
+    consecutive sizes (at most :data:`PAYLOAD_CHUNK` elements, or one
+    larger size alone), and yielded as views of that chunk.  The bytes
+    and the generator's final state equal one call per payload: the
+    bounded draw consumes PCG64's 32-bit outputs, whose buffered half
+    carries across calls.  The cast is a lookup in a 5-entry table cast by
+    ``astype`` itself: the same bits as casting every element."""
+    table = _PAYLOAD_VALUES.astype(dtype)
+    sizes = [int(n) for n in sizes]
+    i = 0
+    while i < len(sizes):
+        j, total = i + 1, sizes[i]
+        while j < len(sizes) and total + sizes[j] <= PAYLOAD_CHUNK:
+            total += sizes[j]
+            j += 1
+        flat = table[rng.integers(-2, 3, total)]
+        start = 0
+        for n in sizes[i:j]:
+            yield flat[start:start + n]
+            start += n
+        i = j
+
 
 def make_input(rng, n: int, dtype) -> np.ndarray:
-    """One request payload: small integers cast to the serving dtype, so
-    fp16 scans stay exact (no rounding ambiguity against the oracle).
-
-    The cast is a lookup in a 5-entry table cast by ``astype`` itself:
-    the same bits as casting every element, at a fraction of the cost."""
-    return _PAYLOAD_VALUES.astype(dtype)[rng.integers(-2, 3, n)]
+    """One request payload: the one-size case of :func:`iter_payloads`."""
+    return next(iter_payloads(rng, (n,), dtype))
 
 
 def percentile_ns(values: "list[float]", q: float) -> float:

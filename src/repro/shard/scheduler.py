@@ -53,7 +53,7 @@ from ..serve.traffic import (
     TrafficReport,
     TrafficSpec,
     generate_arrivals,
-    make_input,
+    iter_payloads,
 )
 from .service import PoolScanService
 
@@ -133,29 +133,36 @@ class TrafficScheduler:
         self.controller = (
             controller if controller is not None else svc.controller
         )
+        #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
+        self._predictions: dict = {}
+        #: per-bucket capacity: the batcher's chunk size (largest power of
+        #: two <= max_batch), so a full bucket is exactly one batched launch
+        self._capacity = 1 << (self.svc.batcher.max_batch.bit_length() - 1)
+        self._reset_run()
+
+    def _reset_run(self) -> None:
+        """Start a fresh simulated clock, frontiers and request counts —
+        every :meth:`run` serves its stream from t=0, exactly like a new
+        scheduler over the same pool."""
+        workers = len(self.svc.workers)
         #: simulated clock (ns); advances to each event, never backwards
         self.clock_ns = 0.0
         #: per-member reservation frontier: when the member is expected to
         #: be free, counting staged-but-not-started work at predicted cost
-        self.free_at_ns = [0.0] * len(svc.workers)
+        self.free_at_ns = [0.0] * workers
         #: per-member actual frontier: completion of the last *dispatched*
         #: batch (corrects predictions once real served time is known)
-        self.done_at_ns = [0.0] * len(svc.workers)
+        self.done_at_ns = [0.0] * workers
         #: open + staged buckets, in creation order
         self.buckets: "list[_Bucket]" = []
         self._seq = 0
         #: request-side metrics (simulated latencies, deadline verdicts,
         #: shed counts) — the ServiceStats leg of the timestamp threading
         self.stats = ServiceStats()
-        #: memoized ``ScanPlan.time_ns`` probes per (shape key, rows)
-        self._predictions: dict = {}
         #: shape key -> buckets with spare capacity, in creation order
         self._joinable: "dict[PlanKey, list[_Bucket]]" = {}
         self._served_tickets: list = []
         self._failed_tickets: list = []
-        #: per-bucket capacity: the batcher's chunk size (largest power of
-        #: two <= max_batch), so a full bucket is exactly one batched launch
-        self._capacity = 1 << (self.svc.batcher.max_batch.bit_length() - 1)
 
     # -- cost model ----------------------------------------------------------
 
@@ -192,20 +199,33 @@ class TrafficScheduler:
     def _place(self, predicted_ns: float) -> "int | None":
         """Member minimising predicted completion; None when the whole
         pool is dead.  Exact score ties go to the schedule controller."""
-        alive = self.svc._alive()
-        if not alive:
-            return None
+        # one pass, no lists: the first best-scoring live member, and the
+        # members tied with it as a bit mask (bit m = member m)
+        dead = self.svc._dead
         workers = self.svc.workers
-        scores = [
-            max(self.clock_ns, self.free_at_ns[m])
-            + predicted_ns * workers[m].observed_slowdown
-            for m in alive
-        ]
-        best = min(scores)
-        tied = [m for m, score in zip(alive, scores) if score == best]
-        if self.controller is not None and len(tied) > 1:
-            return tied[self.controller.choose("traffic.place", len(tied))]
-        return tied[0]
+        clock = self.clock_ns
+        free_at = self.free_at_ns
+        best, best_score, tied = -1, 0.0, 0
+        for m in range(len(workers)):
+            if dead[m]:
+                continue
+            f = free_at[m]
+            score = (f if f > clock else clock) + (
+                predicted_ns * workers[m].observed_slowdown
+            )
+            if best < 0 or score < best_score:
+                best, best_score, tied = m, score, 1 << m
+            elif score == best_score:
+                tied |= 1 << m
+        if best < 0:
+            return None
+        if self.controller is None or tied == 1 << best:
+            return best
+        # the controller picks among the tied members in member order
+        pick = self.controller.choose("traffic.place", tied.bit_count())
+        for _ in range(pick):
+            tied &= tied - 1  # drop the lowest tied member
+        return (tied & -tied).bit_length() - 1
 
     # -- admission -----------------------------------------------------------
 
@@ -460,12 +480,22 @@ class TrafficScheduler:
         one); arrivals at the same tick are offered before the bucket
         event fires, so a same-tick arrival can still join a bucket that
         filled — or was deadline-staged — at that very tick.
+
+        Every run starts its own simulated clock, member frontiers and
+        request counts, so reusing a scheduler reports exactly what a
+        fresh one over the same pool would.
         """
+        if self.buckets:
+            raise KernelError(
+                f"{len(self.buckets)} bucket(s) offered outside run() are "
+                "still pending; dispatch them before starting a run"
+            )
+        self._reset_run()
         arrivals = generate_arrivals(spec, seed)
         data_rng = np.random.default_rng((TRAFFIC_SEED0, seed, 1))
-        payloads = [make_input(data_rng, a.n, spec.np_dtype) for a in arrivals]
-        self._served_tickets: list = []
-        self._failed_tickets: list = []
+        payloads = iter_payloads(
+            data_rng, [a.n for a in arrivals], spec.np_dtype
+        )
         launches0 = sum(w.stats.launch_count for w in self.svc.workers)
         span0 = self.svc.span_ns
         admitted = 0
@@ -486,13 +516,12 @@ class TrafficScheduler:
             if t_arrival == float("inf") and t_bucket == float("inf"):
                 break  # quiesce failed the remaining buckets (pool dead)
             if t_arrival <= t_bucket:
-                ticket = self.offer(
-                    arrivals[i], payloads[i], algorithm=algorithm, s=s
-                )
+                x = next(payloads)
+                ticket = self.offer(arrivals[i], x, algorithm=algorithm, s=s)
                 if ticket is not None:
                     admitted += 1
                     if on_admit is not None:
-                        on_admit(ticket, payloads[i])
+                        on_admit(ticket, x)
                 i += 1
                 continue
             self.clock_ns = max(self.clock_ns, t_bucket)

@@ -5,11 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.api import ScanContext
+from repro.core.api import (
+    BATCHED_ALGORITHMS,
+    PLAN_1D_ALGORITHMS,
+    ScanContext,
+)
 from repro.core.matrices import batched_tile_rows, padded_length
+from repro.core.vector_baseline import CUMSUM_COLS
 from repro.errors import ConfigError, KernelError, ShapeError
 from repro.hw.config import toy_config
 from repro.serve import PlanCache, PlanKey
+from repro.serve.plan import KEY_MEMO_CAP
 
 
 @pytest.fixture()
@@ -38,6 +44,106 @@ def test_key_rejects_unknown_algorithm(cache):
         cache.key_1d("bogus", 10, "fp16")
     with pytest.raises(KernelError, match="batched"):
         cache.key_batched("mcscan", 4, 10, "fp16")
+
+
+def _fresh_1d(algorithm, n, dtype_name, s, exclusive, block_dim):
+    unit = CUMSUM_COLS if algorithm == "vector" else s * s
+    return PlanKey(
+        algorithm, padded_length(n, unit), dtype_name, None, s, exclusive,
+        block_dim,
+    )
+
+
+def _fresh_batched(algorithm, batch, row_len, dtype_name, s):
+    unit = (
+        CUMSUM_COLS if algorithm == "vector"
+        else batched_tile_rows(row_len, s) * s
+    )
+    return PlanKey(algorithm, padded_length(row_len, unit), dtype_name, batch, s)
+
+
+_DTYPES = [("fp16", "fp16"), (np.float16, "fp16"), (np.dtype(np.int8), "int8")]
+
+
+class TestKeyMemo:
+    """``key_1d``/``key_batched`` memoize argument tuples and
+    ``_as_plan_dtype`` memoizes NumPy dtypes; neither may change a key
+    or skip a validation."""
+
+    def test_memoized_keys_equal_freshly_built_ones(self, cache):
+        grid_1d = [
+            (a, n, dt, s, ex, bd)
+            for a in PLAN_1D_ALGORITHMS
+            for n in (1, 1025, 5000)
+            for dt in _DTYPES
+            for s in (16, 32)
+            for ex in (False, True)
+            for bd in (None, 2)
+        ]
+        grid_b = [
+            (a, b, n, dt, s)
+            for a in BATCHED_ALGORITHMS
+            for b in (1, 8)
+            for n in (1, 1025, 5000)
+            for dt in _DTYPES
+            for s in (16, 32)
+        ]
+        # a cold pass fills the memo; the reversed pass is served from it
+        for grid in (grid_1d, grid_1d[::-1]):
+            for a, n, (dt, name), s, ex, bd in grid:
+                got = cache.key_1d(a, n, dt, s=s, exclusive=ex, block_dim=bd)
+                assert got == _fresh_1d(a, n, name, s, ex, bd)
+        for grid in (grid_b, grid_b[::-1]):
+            for a, b, n, (dt, name), s in grid:
+                got = cache.key_batched(a, b, n, dt, s=s)
+                assert got == _fresh_batched(a, b, n, name, s)
+        assert cache._keys_1d and cache._keys_batched
+
+    def test_unknown_algorithm_or_dtype_raises_every_call(self, cache):
+        cache.key_1d("scanu", 10, "fp16")
+        cache.key_batched("scanu", 4, 10, "fp16")
+        for _ in range(3):
+            with pytest.raises(KernelError, match="unknown"):
+                cache.key_1d("bogus", 10, "fp16")
+            with pytest.raises(KernelError, match="batched"):
+                cache.key_batched("mcscan", 4, 10, "fp16")
+            with pytest.raises(KernelError):
+                cache.key_1d("scanu", 10, np.float32)
+            with pytest.raises(KernelError):
+                cache.key_batched("scanu", 4, 10, np.dtype(np.float32))
+            with pytest.raises(KernelError):  # unhashable: not a TypeError
+                cache.key_1d("scanu", 10, [("a", "f2")])
+            with pytest.raises(ShapeError):
+                cache.key_1d("scanu", 0, "fp16")
+            with pytest.raises(KernelError):
+                cache.ctx._as_plan_dtype(np.dtype(np.float32))
+
+    def test_plan_dtype_memo_returns_the_resolved_dtype(self, cache):
+        ctx = cache.ctx
+        for spelling, name in ((np.dtype(np.float16), "fp16"),
+                               (np.dtype(np.int8), "int8")):
+            first = ctx._as_plan_dtype(spelling)
+            assert first is ctx._as_plan_dtype(spelling)
+            assert first == ctx._as_plan_dtype(name)
+            assert first.name == name
+        assert np.dtype(np.float32) not in ctx._np_plan_dtypes
+        assert len(ctx._np_plan_dtypes) == 2
+
+    def test_memo_stays_within_its_cap(self, cache):
+        lengths = range(1, KEY_MEMO_CAP + 300)
+        for n in lengths:
+            cache.key_1d("scanu", n, "fp16", s=16)
+            cache.key_batched("scanu", 1, n, "fp16", s=16)
+            assert len(cache._keys_1d) <= KEY_MEMO_CAP
+            assert len(cache._keys_batched) <= KEY_MEMO_CAP
+        # evicted lengths are rebuilt, not lost or stale
+        for n in (1, 2, KEY_MEMO_CAP + 299):
+            assert cache.key_1d("scanu", n, "fp16", s=16) == _fresh_1d(
+                "scanu", n, "fp16", 16, False, None
+            )
+            assert cache.key_batched("scanu", 1, n, "fp16", s=16) == (
+                _fresh_batched("scanu", 1, n, "fp16", 16)
+            )
 
 
 def test_batched_key_padded_is_stable(cache):

@@ -13,6 +13,7 @@ from repro.serve import (
     make_input,
     percentile_ns,
 )
+from repro.serve.traffic import PAYLOAD_CHUNK, iter_payloads
 
 
 def spec(**kw) -> TrafficSpec:
@@ -102,11 +103,78 @@ class TestGenerator:
     @pytest.mark.parametrize("dtype", [np.float16, np.int8])
     def test_make_input_table_cast_matches_astype(self, dtype):
         """The table cast keeps the payload stream bit for bit: same
-        draws, same dtype, same bytes as casting every element."""
-        got = make_input(np.random.default_rng(5), 3000, dtype)
-        want = np.random.default_rng(5).integers(-2, 3, 3000).astype(dtype)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        draws, same dtype, same bytes as casting every element, and the
+        same generator state after a run of payloads."""
+        rng = np.random.default_rng(5)
+        want_rng = np.random.default_rng(5)
+        for n in (3000, 3, 16384):
+            got = make_input(rng, n, dtype)
+            want = want_rng.integers(-2, 3, n).astype(dtype)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The payload's raw bits: the uint16 view of fp16, int8 as is."""
+    return x.view(np.uint16) if x.dtype == np.float16 else x
+
+
+def _per_arrival(seed, sizes, dtype):
+    """One draw and one ``astype`` per payload — the recipe the chunked
+    draws must reproduce — plus the generator afterwards."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(-2, 3, n).astype(dtype) for n in sizes], rng
+
+
+class TestChunkedPayloads:
+    """``iter_payloads`` draws many payloads per ``rng.integers`` call;
+    the bytes and the generator state must equal one call per payload."""
+
+    def _check(self, sizes, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        got = list(iter_payloads(rng, sizes, dtype))
+        want, want_rng = _per_arrival(seed, sizes, dtype)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(_bits(g), _bits(w))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_stream_matches_per_arrival_draws(self, dtype, seed):
+        sizes = np.random.default_rng(seed + 10).choice(
+            [1, 3, 1024, 4096, 16384], 300, p=[0.1, 0.1, 0.4, 0.3, 0.1]
+        )
+        self._check(sizes, dtype, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8])
+    def test_chunk_boundaries(self, dtype):
+        c = PAYLOAD_CHUNK
+        # exactly one chunk, one element over, a split right at the
+        # boundary, and odd sizes whose 32-bit draws straddle it
+        for sizes in ([c], [c // 2, c // 2, 1], [c - 1, 1, 1],
+                      [c - 3, 5, c - 7, 11], [7] * 5 + [c - 35, 3]):
+            self._check(sizes, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8])
+    def test_single_size_larger_than_the_chunk(self, dtype):
+        c = PAYLOAD_CHUNK
+        got = self._check([5, 2 * c + 3, 9], dtype)
+        assert got[1].size == 2 * c + 3
+
+    def test_chunks_are_bounded_and_drawn_lazily(self):
+        rng = np.random.default_rng(3)
+        stream = iter_payloads(rng, [PAYLOAD_CHUNK // 4] * 9, np.float16)
+        first = next(stream)
+        # one chunk holds four payloads; nothing beyond it is drawn yet
+        assert first.base is not None
+        assert first.base.size == PAYLOAD_CHUNK
+        untouched = np.random.default_rng(3)
+        untouched.integers(-2, 3, PAYLOAD_CHUNK)
+        assert rng.bit_generator.state == untouched.bit_generator.state
 
 
 class TestReport:

@@ -382,3 +382,127 @@ class TestPrepareOnce:
                     exclusive=req.exclusive, block_dim=req.block_dim,
                 )
             assert req.key == fresh
+
+
+class TestReuse:
+    """A scheduler run twice reports what two fresh schedulers report."""
+
+    @staticmethod
+    def _summary(rep):
+        return (
+            rep.offered, rep.admitted, rep.served, rep.shed, rep.failed,
+            rep.deadline_met, rep.span_ns, rep.latencies_ns, rep.launches,
+            rep.coalesced,
+            [
+                (t.req_id, t.t_arrival_ns, t.t_admit_ns, t.t_complete_ns,
+                 t.device, t.device_ns)
+                for t in rep.tickets
+            ],
+        )
+
+    def test_second_run_matches_a_fresh_scheduler(self):
+        s = spec(requests=200)
+        reused = TrafficScheduler(pool())
+        first = reused.run(s, 1, s=S)
+        second = reused.run(s, 2, s=S)
+        svc = pool()
+        want_first = run_traffic(svc, s, 1, s=S)
+        want_second = run_traffic(svc, s, 2, s=S)
+        assert self._summary(first) == self._summary(want_first)
+        assert self._summary(second) == self._summary(want_second)
+        assert second.deadline_met <= second.served
+        assert second.shed == 0 and second.accounted()
+
+    def test_run_refuses_buckets_offered_outside_it(self):
+        sched = TrafficScheduler(pool())
+        sched.offer(
+            Arrival(index=0, t_ns=0.0, n=256, deadline_ns=1e9), _x(256), s=S
+        )
+        with pytest.raises(KernelError, match="pending"):
+            sched.run(spec(), 1, s=S)
+
+
+def _list_place(sched, predicted_ns):
+    """The list-building ``_place`` the one-pass version replaced: the
+    reference for the differential test below."""
+    alive = sched.svc._alive()
+    if not alive:
+        return None
+    workers = sched.svc.workers
+    scores = [
+        max(sched.clock_ns, sched.free_at_ns[m])
+        + predicted_ns * workers[m].observed_slowdown
+        for m in alive
+    ]
+    best = min(scores)
+    tied = [m for m, score in zip(alive, scores) if score == best]
+    if sched.controller is not None and len(tied) > 1:
+        return tied[sched.controller.choose("traffic.place", len(tied))]
+    return tied[0]
+
+
+class TestPlacementDifferential:
+    @pytest.mark.parametrize("devices", [1, 2, 3, 5])
+    def test_one_pass_place_matches_the_list_version(self, devices):
+        """Randomized clocks, frontiers, slowdowns and dead members, drawn
+        from small value sets so exact ties are common: both versions
+        return the same member and make the same controller calls."""
+        from repro.verify.controller import ScheduleController
+
+        rng = np.random.default_rng(devices)
+        sched = TrafficScheduler(pool(devices))
+        svc = sched.svc
+        ties = 0
+        for trial in range(400):
+            sched.clock_ns = float(rng.choice([0.0, 500.0, 1000.0]))
+            sched.free_at_ns = [
+                float(v) for v in rng.choice([0.0, 500.0, 1000.0, 2500.0],
+                                             devices)
+            ]
+            for m, w in enumerate(svc.workers):
+                w.observed_slowdown = float(rng.choice([1.0, 1.0, 1.5, 2.0]))
+                svc._dead[m] = bool(rng.random() < 0.2)
+            predicted = float(rng.choice([0.0, 250.0, 1000.0]))
+            for controlled in (False, True):
+                ctl = (ScheduleController(trial), ScheduleController(trial))
+                sched.controller = ctl[0] if controlled else None
+                want = _list_place(sched, predicted)
+                sched.controller = ctl[1] if controlled else None
+                got = sched._place(predicted)
+                assert got == want
+                assert ctl[1].trace == ctl[0].trace
+                ties += len(ctl[0].trace)
+        if devices > 1:
+            assert ties > 0  # exact ties were exercised
+
+    def test_all_dead_places_nothing(self):
+        sched = TrafficScheduler(pool(3))
+        sched.svc._dead = [True] * 3
+        assert sched._place(100.0) is None
+
+
+class TestServedPayloads:
+    @pytest.mark.parametrize("dtype", ["fp16", "int8"])
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    def test_run_serves_the_per_arrival_payload_stream(
+        self, monkeypatch, dtype, chunk
+    ):
+        """The payloads a run admits are, bit for bit, the per-arrival
+        ``make_input`` stream on the ``(TRAFFIC_SEED0, seed, 1)`` generator
+        — with the default chunk and with a chunk boundary every few
+        arrivals."""
+        from repro.serve import traffic
+
+        if chunk is not None:
+            monkeypatch.setattr(traffic, "PAYLOAD_CHUNK", chunk)
+        s = spec(requests=48, slo_ns=5_000_000.0, dtype=dtype)
+        served = []
+        rep = run_traffic(
+            pool(), s, 5, s=S, on_admit=lambda t, x: served.append(x)
+        )
+        assert rep.admitted == rep.offered == len(served)
+        rng = np.random.default_rng((traffic.TRAFFIC_SEED0, 5, 1))
+        for a, x in zip(traffic.generate_arrivals(s, 5), served):
+            want = traffic.make_input(rng, a.n, s.np_dtype)
+            assert x.dtype == want.dtype
+            assert x.tobytes() == want.tobytes()
