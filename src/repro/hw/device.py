@@ -65,20 +65,17 @@ class HazardAccess:
     is_write: bool
 
 
-class _GmAccess:
-    """One recorded GM access: exact byte interval + op + direction."""
-
-    __slots__ = ("start", "end", "op_id", "is_write")
-
-    def __init__(self, start: int, end: int, op_id: int, is_write: bool):
-        self.start = start
-        self.end = end
-        self.op_id = op_id
-        self.is_write = is_write
-
-
 class Emitter:
-    """Builds the op DAG for one kernel launch."""
+    """Builds the op DAG for one kernel launch.
+
+    :meth:`emit` is the per-op cost of tracing, so it makes one pass per
+    op: hazard deps go straight into one set, and each GM slice's byte
+    range and hazard buckets are resolved once (a *span*) and reused for
+    the dep scan, the L2 access, the hazard record and the audit log.
+
+    GM hazard records are ``(start, end, op_id, is_write)`` tuples: one
+    recorded access's exact byte interval, op and direction.
+    """
 
     def __init__(self, device: "AscendDevice"):
         self.device = device
@@ -87,19 +84,17 @@ class Emitter:
         self.cache = device.l2
         self.program = Program(len(device.engines) + 1)  # +1 sync pseudo-engine
         self._sync_engine = len(device.engines)
-        self._gm_hazards: dict[tuple[int, int], list[_GmAccess]] = {}
+        self._gm_hazards: dict[tuple[int, int], list[tuple]] = {}
         self._next_id = 0
+        # per-launch constants of the flow-latency arithmetic
+        self._mte_fixed_ns = self.costs.mte_fixed_ns()
+        self._clock_ghz = self.config.clock_ghz
         #: per-op access log for sync-coverage verification (opt-in)
         self.audit: "list[HazardAccess] | None" = (
             [] if device.audit_hazards else None
         )
 
     # -- low-level op emission ---------------------------------------------------
-
-    def _new_id(self) -> int:
-        op_id = self._next_id
-        self._next_id += 1
-        return op_id
 
     def emit(
         self,
@@ -116,68 +111,57 @@ class Emitter:
     ) -> int:
         """Emit one op; ``reads``/``writes`` are hazard-carrying objects
         (LocalTensor or Hazard) and ``gm_read``/``gm_write`` are GM ranges."""
-        deps: list[int] = list(extra_deps)
+        deps = set(extra_deps)
         for obj in reads:
-            h = getattr(obj, "hazard", obj)
-            deps.extend(h.deps_for_read())
+            getattr(obj, "hazard", obj).add_read_deps(deps)
         for obj in writes:
-            h = getattr(obj, "hazard", obj)
-            deps.extend(h.deps_for_write())
+            getattr(obj, "hazard", obj).add_write_deps(deps)
 
         gm_bytes = 0
         l2_hit = 0
+        read_span = write_span = None
         if gm_read is not None:
-            deps.extend(self._gm_deps(gm_read, is_write=False))
-            gm_bytes += gm_read.nbytes
-            hit, _miss = self.cache.access(gm_read.byte_start, gm_read.nbytes)
-            l2_hit += hit
+            read_span = self._gm_access(gm_read, False, deps)
+            gm_bytes += read_span[2]
+            l2_hit += read_span[5]
         if gm_write is not None:
-            deps.extend(self._gm_deps(gm_write, is_write=True))
-            gm_bytes += gm_write.nbytes
-            hit, _miss = self.cache.access(gm_write.byte_start, gm_write.nbytes)
-            l2_hit += hit
+            write_span = self._gm_access(gm_write, True, deps)
+            gm_bytes += write_span[2]
+            l2_hit += write_span[5]
 
-        op_id = self._new_id()
-        # ops that both compute and move GM data (e.g. the scalar-unit
-        # masked_select baseline) fold their compute time into the flow's
-        # fixed latency phase -- the scheduler times flows as latency+drain
-        latency_ns = 0.0
+        op_id = self._next_id
+        self._next_id = op_id + 1
+        # positional Op fields: op_id, engine, kind, label, deps, cycles,
+        # gm_bytes, eff_bytes, latency_ns, l2_hit_bytes
         if gm_bytes:
-            latency_ns = self.costs.mte_fixed_ns() + self.config.cycles_to_ns(
-                cycles
+            # ops that both compute and move GM data (e.g. the scalar-unit
+            # masked_select baseline) fold their compute time into the
+            # flow's fixed latency phase -- the scheduler times flows as
+            # latency+drain
+            op = Op(
+                op_id, engine, kind, label, tuple(deps), 0.0, gm_bytes,
+                self.costs.flow_effective_bytes(gm_bytes, l2_hit),
+                self._mte_fixed_ns + cycles / self._clock_ghz,
+                l2_hit,
             )
-        op = Op(
-            op_id=op_id,
-            engine=engine,
-            kind=kind,
-            label=label,
-            deps=tuple(set(deps)),
-            cycles=0.0 if gm_bytes else cycles,
-            gm_bytes=gm_bytes,
-            eff_bytes=self.costs.flow_effective_bytes(gm_bytes, l2_hit)
-            if gm_bytes
-            else 0.0,
-            latency_ns=latency_ns,
-            l2_hit_bytes=l2_hit,
-        )
+        else:
+            op = Op(op_id, engine, kind, label, tuple(deps), cycles)
         self.program.add(op)
 
         # update hazard state after deps were gathered
         for obj in reads:
-            h = getattr(obj, "hazard", obj)
-            h.note_read(op_id)
+            getattr(obj, "hazard", obj).note_read(op_id)
         for obj in writes:
-            h = getattr(obj, "hazard", obj)
-            h.note_write(op_id)
-        if gm_read is not None:
-            self._gm_note(gm_read, op_id, is_write=False)
-        if gm_write is not None:
-            self._gm_note(gm_write, op_id, is_write=True)
+            getattr(obj, "hazard", obj).note_write(op_id)
+        if read_span is not None:
+            self._gm_note(read_span, op_id, False)
+        if write_span is not None:
+            self._gm_note(write_span, op_id, True)
         if self.audit is not None:
-            self._audit_op(op_id, reads, writes, gm_read, gm_write)
+            self._audit_op(op_id, reads, writes, read_span, write_span)
         return op_id
 
-    def _audit_op(self, op_id, reads, writes, gm_read, gm_write) -> None:
+    def _audit_op(self, op_id, reads, writes, read_span, write_span) -> None:
         """Record this op's data accesses for independent sync verification."""
         log = self.audit
         for objs, is_write in ((reads, False), (writes, True)):
@@ -186,57 +170,61 @@ class Emitter:
                 log.append(
                     HazardAccess(op_id, "local", h.serial, 0, 1, is_write)
                 )
-        for s, is_write in ((gm_read, False), (gm_write, True)):
-            if s is not None:
-                start = s.offset * s.dtype.itemsize
+        for span, is_write in ((read_span, False), (write_span, True)):
+            if span is not None:
+                tid, start, nbytes = span[:3]
                 log.append(
                     HazardAccess(
-                        op_id, "gm", s.tensor.tensor_id,
-                        start, start + max(s.nbytes, 1), is_write,
+                        op_id, "gm", tid, start, start + max(nbytes, 1), is_write
                     )
                 )
 
     # -- global-memory hazards ------------------------------------------------------
 
-    def _gm_buckets(self, s: GlobalSlice) -> range:
-        start = s.offset * s.dtype.itemsize
-        end = start + max(s.nbytes, 1)
-        return range(start // GM_HAZARD_BUCKET, (end - 1) // GM_HAZARD_BUCKET + 1)
+    def _gm_access(self, s: GlobalSlice, is_write: bool, deps: set) -> tuple:
+        """One GM access of the op being emitted: adds its hazard deps to
+        ``deps``, records it in the L2 model and returns its span
+        ``(tensor id, byte start, nbytes, first bucket, stop bucket, L2 hit
+        bytes)``.
 
-    def _gm_deps(self, s: GlobalSlice, *, is_write: bool) -> list[int]:
-        """Exact byte-interval hazard detection (bucketed for locality).
-
+        Hazards are exact byte intervals (bucketed for locality).
         Byte-precise overlap matters: operators like split write
         data-dependent, *adjacent* output ranges from different cores; any
         coarser granularity would create false WAW edges that chain the
         cores' store engines serially.
         """
-        deps: list[int] = []
-        tid = s.tensor.tensor_id
-        start = s.offset * s.dtype.itemsize
-        end = start + s.nbytes
-        for b in self._gm_buckets(s):
-            entries = self._gm_hazards.get((tid, b))
-            if not entries:
-                continue
-            for a in entries:
-                if a.start < end and start < a.end and (is_write or a.is_write):
-                    deps.append(a.op_id)
-        return deps
+        tensor = s.tensor
+        itemsize = tensor.dtype.itemsize
+        tid = tensor.tensor_id
+        start = s.offset * itemsize
+        nbytes = s.length * itemsize
+        end = start + nbytes
+        first = start // GM_HAZARD_BUCKET
+        stop = (start + max(nbytes, 1) - 1) // GM_HAZARD_BUCKET + 1
+        hazards = self._gm_hazards
+        for b in range(first, stop):
+            entries = hazards.get((tid, b))
+            if entries:
+                for a_start, a_end, a_op, a_write in entries:
+                    if a_start < end and start < a_end and (is_write or a_write):
+                        deps.add(a_op)
+        hit = self.cache.access(tensor.base_addr + start, nbytes)[0]
+        return (tid, start, nbytes, first, stop, hit)
 
-    def _gm_note(self, s: GlobalSlice, op_id: int, *, is_write: bool) -> None:
-        tid = s.tensor.tensor_id
-        start = s.offset * s.dtype.itemsize
-        end = start + s.nbytes
-        access = _GmAccess(start, end, op_id, is_write)
-        for b in self._gm_buckets(s):
-            entries = self._gm_hazards.setdefault((tid, b), [])
+    def _gm_note(self, span: tuple, op_id: int, is_write: bool) -> None:
+        tid, start, nbytes, first, stop, _hit = span
+        end = start + nbytes
+        access = (start, end, op_id, is_write)
+        hazards = self._gm_hazards
+        for b in range(first, stop):
+            entries = hazards.get((tid, b))
+            if entries is None:
+                hazards[(tid, b)] = [access]
+                continue
             if is_write:
                 # a write supersedes fully-covered earlier accesses (their
                 # hazards flow transitively through this op)
-                entries[:] = [
-                    a for a in entries if not (start <= a.start and a.end <= end)
-                ]
+                entries[:] = [a for a in entries if not (start <= a[0] and a[1] <= end)]
             entries.append(access)
 
     # -- barriers --------------------------------------------------------------------
@@ -244,7 +232,8 @@ class Emitter:
     def sync_all(self) -> int:
         """Device-wide barrier (AscendC SyncAll)."""
         deps = self.program.barrier_deps()
-        op_id = self._new_id()
+        op_id = self._next_id
+        self._next_id = op_id + 1
         op = Op(
             op_id=op_id,
             engine=self._sync_engine,
@@ -505,9 +494,11 @@ class AscendDevice:
         functional state.
 
         This is the autotuner's cost probe (:mod:`repro.tune`): candidate
-        plans are traced once and scored through the memoized timeline, so
-        search never executes numerics.  The timeline is memoized on
-        ``traced`` exactly as :meth:`replay` memoizes it.
+        plans are traced once and scored through the memoized timeline.
+        The trace itself ran the kernel's tile numerics on the candidate's
+        scratch inputs; scoring reads only the device time and never
+        executes numerics again.  The timeline is memoized on ``traced``
+        exactly as :meth:`replay` memoizes it.
         """
         return (
             self._timeline_for(traced).total_ns

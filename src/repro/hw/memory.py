@@ -48,6 +48,8 @@ class GlobalTensor:
         self.num_elements = math.prod(self.shape)
         self.base_addr = base_addr
         self._data = np.zeros(self.shape, dtype=dtype.np_dtype)
+        # the flat view, built once: every DataCopy slices it
+        self._flat = self._data.reshape(-1)
 
     # -- size helpers -------------------------------------------------------
 
@@ -58,7 +60,7 @@ class GlobalTensor:
     @property
     def flat(self) -> np.ndarray:
         """Flat (1-D) view of the backing array."""
-        return self._data.reshape(-1)
+        return self._flat
 
     @property
     def data(self) -> np.ndarray:
@@ -109,7 +111,7 @@ class GlobalTensor:
         view.shape = (length,)
         view.num_elements = length
         view.base_addr = self.base_addr
-        view._data = self.flat[:length]
+        view._data = view._flat = self._flat[:length]
         return view
 
     def row(self, i: int) -> "GlobalSlice":
@@ -158,7 +160,7 @@ class GlobalSlice:
     @property
     def array(self) -> np.ndarray:
         """NumPy view of the slice (functional state)."""
-        return self.tensor.flat[self.offset : self.offset + self.length]
+        return self.tensor._flat[self.offset : self.offset + self.length]
 
     def sub(self, offset: int, length: int) -> "GlobalSlice":
         """A sub-range relative to this slice."""

@@ -23,6 +23,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from ..errors import DeadlockError, SchedulerError, TimingAuditError
 from .config import DeviceConfig
@@ -61,26 +62,30 @@ class Program:
 
     def add(self, op: Op) -> int:
         """Append an op; returns its id (must equal ``op.op_id``)."""
-        if op.op_id != len(self.ops):
+        op_id = op.op_id
+        engine = op.engine
+        if op_id != len(self.ops):
             raise SchedulerError(
-                f"op id {op.op_id} does not match program position {len(self.ops)}"
+                f"op id {op_id} does not match program position {len(self.ops)}"
             )
-        if not 0 <= op.engine < self.num_engines:
-            raise SchedulerError(f"op {op.op_id} targets unknown engine {op.engine}")
+        if not 0 <= engine < self.num_engines:
+            raise SchedulerError(f"op {op_id} targets unknown engine {engine}")
         deps = op.deps
-        if self._fence >= 0 and not op.is_barrier and self._fence not in deps:
-            deps = deps + (self._fence,)
+        fence = self._fence
+        if fence >= 0 and fence not in deps and not op.is_barrier:
+            deps = deps + (fence,)
         deps = tuple(dict.fromkeys(deps))  # dedupe, preserving first occurrence
-        for dep in deps:
-            if dep >= op.op_id or dep < 0:
-                raise SchedulerError(
-                    f"op {op.op_id} depends on invalid op {dep} (forward or negative)"
-                )
+        # max/min keep the forward/negative check O(1) calls per op
+        if deps and (max(deps) >= op_id or min(deps) < 0):
+            bad = next(d for d in deps if d >= op_id or d < 0)
+            raise SchedulerError(
+                f"op {op_id} depends on invalid op {bad} (forward or negative)"
+            )
         self.ops.append(op)
         self.op_deps.append(deps)
-        self.engine_queues[op.engine].append(op.op_id)
-        self._engine_last[op.engine] = op.op_id
-        return op.op_id
+        self.engine_queues[engine].append(op_id)
+        self._engine_last[engine] = op_id
+        return op_id
 
     def deps_of(self, op_id: int) -> tuple[int, ...]:
         """Effective (deduped, fence-fenced) dependencies of one op."""
@@ -151,16 +156,13 @@ def simulate(
 
     start_ns = [-1.0] * n
     finish_ns = [-1.0] * n
-    done = [False] * n
 
     # dependency bookkeeping (program.op_deps is already deduplicated)
-    dep_count = [0] * n
+    dep_count = [len(deps) for deps in program.op_deps]
     dependents: list[list[int]] = [[] for _ in range(n)]
-    for op in ops:
-        deps = program.op_deps[op.op_id]
-        dep_count[op.op_id] = len(deps)
+    for op_id, deps in enumerate(program.op_deps):
         for d in deps:
-            dependents[d].append(op.op_id)
+            dependents[d].append(op_id)
 
     # engine state
     queues = program.engine_queues
@@ -170,9 +172,13 @@ def simulate(
     # active work
     fixed_heap: list[tuple[float, int]] = []  # (finish time, op id)
     # flows in latency phase are kept in fixed_heap until latency elapses,
-    # then move to draining state
-    draining: dict[int, float] = {}  # op id -> remaining effective bytes
-    latency_phase: set[int] = set()
+    # then move to draining state: parallel lists of op id and remaining
+    # effective bytes, in the order the flows started draining
+    flow_ids: list[int] = []
+    flow_rem: list[float] = []
+    # every flow is capped by the same MTE link, so the max-min fair rates
+    # depend only on how many flows drain: one waterfill per flow count
+    rates_by_count: dict[int, list[float]] = {}
 
     clock_ns_per_cycle = config.cycle_ns
     pool_rate = config.hbm_bytes_per_ns
@@ -181,35 +187,35 @@ def simulate(
         config.cycles_to_ns(config.costs.mte_issue_cycles)
         + config.memory.gm_latency_ns
     )
+    inf = float("inf")
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     t = 0.0
     n_done = 0
 
-    def try_start(engine: int) -> bool:
-        """Start the head op of ``engine`` if it is ready.  Returns True if
-        an op was started."""
+    def try_start(engine: int) -> None:
+        """Start the head op of ``engine`` if it is ready."""
         if engine_busy[engine]:
-            return False
+            return
         pos = engine_pos[engine]
         queue = queues[engine]
         if pos >= len(queue):
-            return False
+            return
         op_id = queue[pos]
         if dep_count[op_id] > 0:
-            return False
+            return
         op = ops[op_id]
         engine_busy[engine] = True
         start_ns[op_id] = t
-        if op.is_flow:
+        if op.gm_bytes > 0:  # a flow: its latency phase first
             latency = op.latency_ns if op.latency_ns > 0 else mte_fixed_ns
-            latency_phase.add(op_id)
-            heapq.heappush(fixed_heap, (t + latency, op_id))
+            heappush(fixed_heap, (t + latency, op_id))
         else:
             duration = op.cycles * clock_ns_per_cycle
             if duration < 0:
                 raise SchedulerError(f"op {op_id} has negative duration")
-            heapq.heappush(fixed_heap, (t + duration, op_id))
-        return True
+            heappush(fixed_heap, (t + duration, op_id))
 
     def engine_order(engines) -> list:
         """Iteration order over an engine set: canonical (ascending id)
@@ -218,53 +224,49 @@ def simulate(
             return sorted(set(engines))
         return sorted(set(engines), key=engine_rank.__getitem__)
 
-    def start_all_ready() -> None:
-        """Initial sweep: start everything startable on every engine."""
-        for e in engine_order(range(program.num_engines)):
-            try_start(e)
-
-    def complete(op_id: int) -> list[int]:
-        """Mark an op finished; returns engines that may now start work."""
+    def complete(op_id: int, touched: list) -> None:
+        """Mark an op finished; appends the engines that may now start
+        work to ``touched``."""
         nonlocal n_done
-        op = ops[op_id]
-        done[op_id] = True
+        engine = ops[op_id].engine
         finish_ns[op_id] = t
         n_done += 1
-        engine_busy[op.engine] = False
-        engine_pos[op.engine] += 1
-        touched = [op.engine]
+        engine_busy[engine] = False
+        engine_pos[engine] += 1
+        touched.append(engine)
         for dep_op in dependents[op_id]:
             dep_count[dep_op] -= 1
             if dep_count[dep_op] == 0:
                 touched.append(ops[dep_op].engine)
-        return touched
 
-    start_all_ready()
+    # initial sweep: engines with an empty queue have nothing to start
+    for e in engine_order(compress(range(program.num_engines), queues)):
+        try_start(e)
 
     while n_done < n:
-        if not fixed_heap and not draining:
-            unfinished = [o.op_id for o in ops if not done[o.op_id]][:8]
+        if not fixed_heap and not flow_rem:
+            unfinished = [i for i in range(n) if finish_ns[i] < 0][:8]
             raise DeadlockError(
                 f"no runnable op at t={t:.1f}ns with {n - n_done} ops pending "
                 f"(first pending: {unfinished}); check for dependency cycles "
                 f"or a kernel that never frees a queue slot"
             )
 
-        # current drain rates for active flows
-        drain_ids = list(draining.keys())
-        rates = waterfill([link_rate] * len(drain_ids), pool_rate)
-        rate_of = dict(zip(drain_ids, rates))
+        # current drain rates for active flows, by drain position
+        rates = rates_by_count.get(len(flow_rem))
+        if rates is None:
+            rates = waterfill([link_rate] * len(flow_rem), pool_rate)
+            rates_by_count[len(flow_rem)] = rates
 
         # next fixed/latency event
-        t_fixed = fixed_heap[0][0] if fixed_heap else float("inf")
+        t_fixed = fixed_heap[0][0] if fixed_heap else inf
         # next flow completion under current rates
-        t_flow = float("inf")
-        for fid in drain_ids:
-            r = rate_of[fid]
-            if r > 0:
-                t_flow = min(t_flow, t + draining[fid] / r)
+        t_flow = min(
+            [t + rem / r for rem, r in zip(flow_rem, rates) if r > 0],
+            default=inf,
+        )
         t_next = min(t_fixed, t_flow)
-        if t_next == float("inf"):
+        if t_next == inf:
             raise SchedulerError("no progress possible: flows have zero rate")
         if t_next < t - _EPS:
             raise SchedulerError(f"time went backwards: {t_next} < {t}")
@@ -272,8 +274,7 @@ def simulate(
         # drain active flows up to t_next
         dt = t_next - t
         if dt > 0:
-            for fid in drain_ids:
-                draining[fid] -= rate_of[fid] * dt
+            flow_rem = [rem - r * dt for rem, r in zip(flow_rem, rates)]
         t = t_next
 
         touched_engines: list[int] = []
@@ -282,28 +283,30 @@ def simulate(
         # clock's ulp because the float residue of rate*dt arithmetic is
         # O(rate * ulp(t)) -- a fixed epsilon would livelock at large t
         drain_eps = _BYTES_EPS + pool_rate * 8.0 * math.ulp(max(t, 1.0))
-        finished_flows = [
-            fid for fid, rem in draining.items() if rem <= drain_eps
-        ]
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(finished_flows)
-        for fid in finished_flows:
-            del draining[fid]
-            touched_engines.extend(complete(fid))
+        finished = [fid for fid, rem in zip(flow_ids, flow_rem) if rem <= drain_eps]
+        if finished:
+            kept = [i for i, rem in enumerate(flow_rem) if not rem <= drain_eps]
+            flow_ids = [flow_ids[i] for i in kept]
+            flow_rem = [flow_rem[i] for i in kept]
+            if shuffle_rng is not None:
+                shuffle_rng.shuffle(finished)
+            for fid in finished:
+                complete(fid, touched_engines)
 
         # fixed-duration ops / latency phases that elapsed
-        while fixed_heap and fixed_heap[0][0] <= t + _EPS:
-            _, op_id = heapq.heappop(fixed_heap)
-            if op_id in latency_phase:
-                latency_phase.discard(op_id)
-                op = ops[op_id]
+        t_due = t + _EPS
+        while fixed_heap and fixed_heap[0][0] <= t_due:
+            _, op_id = heappop(fixed_heap)
+            op = ops[op_id]
+            if op.gm_bytes > 0:  # a flow's latency phase elapsed
                 eff = op.eff_bytes if op.eff_bytes > 0 else float(op.gm_bytes)
                 if eff <= _BYTES_EPS:
-                    touched_engines.extend(complete(op_id))
+                    complete(op_id, touched_engines)
                 else:
-                    draining[op_id] = eff
+                    flow_ids.append(op_id)
+                    flow_rem.append(eff)
             else:
-                touched_engines.extend(complete(op_id))
+                complete(op_id, touched_engines)
 
         # Completions can only unblock the engines they touched (starting an
         # op never resolves anyone else's dependencies), so one pass over the

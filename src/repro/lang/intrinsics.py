@@ -20,6 +20,7 @@ Their costs are the exact sum of the per-instruction costs they stand for.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -63,8 +64,14 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+#: one shared handle per core instead of a new one per emitted op; safe to
+#: share because handles are immutable, and bounded because the key space
+#: is (core kind, core index)
+_core_handle = functools.lru_cache(maxsize=1024)(CoreHandle)
+
+
 def _core_of(t: LocalTensor) -> CoreHandle:
-    return CoreHandle(t.core_kind, t.core_index)
+    return _core_handle(t.core_kind, t.core_index)
 
 
 def _require_ub(*tensors: LocalTensor) -> None:
@@ -78,18 +85,22 @@ def _require_ub(*tensors: LocalTensor) -> None:
 
 
 def _require_same_core(*tensors: LocalTensor) -> None:
-    cores = {(t.core_kind, t.core_index) for t in tensors}
-    if len(cores) != 1:
-        raise KernelError(
-            f"operands live on different cores {sorted(cores)}; on the 910B "
-            f"split architecture cores exchange data only through GM"
-        )
+    kind, index = tensors[0].core_kind, tensors[0].core_index
+    for t in tensors:
+        if t.core_index != index or t.core_kind != kind:
+            cores = {(t.core_kind, t.core_index) for t in tensors}
+            raise KernelError(
+                f"operands live on different cores {sorted(cores)}; on the "
+                f"910B split architecture cores exchange data only through GM"
+            )
 
 
 def _require_same_length(*tensors: LocalTensor) -> None:
-    lengths = {t.length for t in tensors}
-    if len(lengths) != 1:
-        raise ShapeError(f"operand lengths differ: {sorted(lengths)}")
+    length = tensors[0].length
+    for t in tensors:
+        if t.length != length:
+            lengths = {t.length for t in tensors}
+            raise ShapeError(f"operand lengths differ: {sorted(lengths)}")
 
 
 def _acc_dtype(np_dtype: np.dtype) -> np.dtype:
@@ -239,10 +250,13 @@ def mmad(
         # (L0A caps k at 65,536); the int64 hop makes the int32 cast below
         # wrap exactly like the hardware accumulator.
         prod = (a_mat.astype(np.float64) @ b_mat.astype(np.float64)).astype(np.int64)
+    # only the int64 product needs a cast; the fp32 one is already L0C's dtype
+    if prod.dtype != c_mat.dtype:
+        prod = prod.astype(c_mat.dtype)
     if accumulate:
-        c_mat += prod.astype(c_mat.dtype)
+        c_mat += prod
     else:
-        c_mat[...] = prod.astype(c_mat.dtype)
+        c_mat[...] = prod
 
     reads = (a, b) + ((c,) if accumulate else ())
     return ctx.emitter.emit(
@@ -516,7 +530,10 @@ def propagate_chain(
     if rows > 1:
         np.cumsum(row_last[:-1], dtype=work, out=offsets[1:])
         offsets[1:] += work.type(partial)
-    mat[...] = (mat.astype(work) + offsets[:, None]).astype(tile.dtype.np_dtype)
+    if mat.dtype == work:
+        mat += offsets[:, None]  # in place: same adds, no copies
+    else:
+        mat[...] = (mat.astype(work) + offsets[:, None]).astype(tile.dtype.np_dtype)
     new_partial = float(offsets[-1] + row_last[-1])
 
     ctx.emitter.emit(

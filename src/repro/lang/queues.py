@@ -11,7 +11,6 @@ slot serialises against the previous occupant automatically.
 from __future__ import annotations
 
 from collections import deque as _deque
-from dataclasses import dataclass, field
 
 from ..errors import BufferOverflowError, QueueError, ShapeError
 from ..hw.config import BufferConfig
@@ -21,11 +20,16 @@ from .tensor import BufferKind, Hazard, LocalTensor
 __all__ = ["TPipe", "TQue"]
 
 
-@dataclass
 class _Slot:
-    capacity_bytes: int
-    hazard: Hazard = field(default_factory=Hazard)
-    in_use: bool = False
+    """One queue slot: its capacity, its hazard record (shared by every
+    tensor allocated from it) and whether a tensor holds it."""
+
+    __slots__ = ("capacity_bytes", "hazard", "in_use")
+
+    def __init__(self, capacity_bytes: int):
+        self.capacity_bytes = capacity_bytes
+        self.hazard = Hazard()
+        self.in_use = False
 
 
 class TQue:
@@ -65,12 +69,14 @@ class TQue:
         """
         dt = as_dtype(dtype)
         nbytes = length * dt.itemsize
+        slots = self._slots
+        depth = len(slots)
         slot = None
-        for i in range(self.depth):
-            candidate = self._slots[(self._next_slot + i) % self.depth]
+        for i in range(depth):
+            candidate = slots[(self._next_slot + i) % depth]
             if not candidate.in_use:
                 slot = candidate
-                self._next_slot = (self._next_slot + i + 1) % self.depth
+                self._next_slot = (self._next_slot + i + 1) % depth
                 break
         if slot is None:
             raise QueueError(

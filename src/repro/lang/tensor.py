@@ -53,14 +53,17 @@ class Hazard:
         self.serial = Hazard._next_serial
         Hazard._next_serial += 1
 
-    def deps_for_read(self) -> tuple[int, ...]:
-        return (self.last_writer,) if self.last_writer >= 0 else ()
-
-    def deps_for_write(self) -> tuple[int, ...]:
-        deps = list(self.readers)
+    def add_read_deps(self, deps: set) -> None:
+        """Add a read's dependencies to ``deps``: the last write (RAW)."""
         if self.last_writer >= 0:
-            deps.append(self.last_writer)
-        return tuple(deps)
+            deps.add(self.last_writer)
+
+    def add_write_deps(self, deps: set) -> None:
+        """Add a write's dependencies to ``deps``: the reads since the last
+        write (WAR) and that write (WAW)."""
+        deps.update(self.readers)
+        if self.last_writer >= 0:
+            deps.add(self.last_writer)
 
     def note_read(self, op_id: int) -> None:
         self.readers.append(op_id)
@@ -79,6 +82,12 @@ class Hazard:
 class LocalTensor:
     """A typed tile resident in a core-local buffer."""
 
+    # slotted: kernels allocate one per queue slot use, so construction and
+    # attribute reads sit on the per-op tracing path
+    __slots__ = (
+        "buffer", "dtype", "length", "core_kind", "core_index", "hazard", "array"
+    )
+
     def __init__(
         self,
         *,
@@ -94,19 +103,18 @@ class LocalTensor:
             raise ShapeError(f"unknown buffer kind {buffer!r}")
         if length <= 0:
             raise ShapeError(f"local tensor length must be positive, got {length}")
+        length = int(length)
+        if array is None:
+            array = np.zeros(length, dtype=dtype.np_dtype)
+        elif array.shape != (length,):
+            raise ShapeError(f"backing array shape {array.shape} != ({length},)")
         self.buffer = buffer
         self.dtype = dtype
-        self.length = int(length)
+        self.length = length
         self.core_kind = core_kind
         self.core_index = core_index
         self.hazard = hazard if hazard is not None else Hazard()
-        self.array = (
-            array if array is not None else np.zeros(self.length, dtype=dtype.np_dtype)
-        )
-        if self.array.shape != (self.length,):
-            raise ShapeError(
-                f"backing array shape {self.array.shape} != ({self.length},)"
-            )
+        self.array = array
 
     @property
     def nbytes(self) -> int:

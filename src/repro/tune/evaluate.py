@@ -1,13 +1,14 @@
 """Candidate cost evaluation: trace once, score on the memoized timeline.
 
-The evaluator never executes numerics during search — it emits the op DAG
-(one host-side Python trace per surviving candidate) and asks the device
+The evaluator traces each surviving candidate once and asks the device
 for the deterministic (DES-computed, memoized) device time via
-:meth:`~repro.hw.device.AscendDevice.time_traced`.  All device tensors
-are scratch, allocated inside a mark/release scope so a long sweep reuses
-HBM; the shared constant matrices are fetched *before* the mark (they are
-cached on the context and must outlive the scope — the same ordering the
-one-shot operators use).
+:meth:`~repro.hw.device.AscendDevice.time_traced`.  Tracing runs the
+kernel's Python body, so it executes the tile numerics on scratch inputs
+as it emits the op DAG; only the device time is read back, never the
+values.  All device tensors are scratch, allocated inside a mark/release
+scope so a long sweep reuses HBM; the shared constant matrices are
+fetched *before* the mark (they are cached on the context and must
+outlive the scope — the same ordering the one-shot operators use).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.api import ScanContext
+from ..hw.config import DeviceConfig
 from .evaluate import evaluate_candidate
 from .space import (
     Candidate,
@@ -161,6 +162,12 @@ def ensure_tuned(
     results of the sweeps that actually ran (an already-covered store
     returns ``[]``).
 
+    Each workload is tuned on a fresh context built from ``ctx``'s config
+    and input-warming setting (see :func:`tune_fresh`), never on ``ctx``
+    itself: the recorded entries are then a function of the workload
+    alone, not of what ``ctx`` ran before or of the list's order, and
+    equal :func:`~repro.tune.warmup.warm_tune_store`'s entry for entry.
+
     The membership test reads :attr:`TuneStore.entries` directly rather
     than going through ``lookup_1d``, so warming a store does not skew the
     hit/miss counters the serve layer reports.  This is the device-pool
@@ -170,8 +177,36 @@ def ensure_tuned(
     for workload in workloads:
         if workload.store_key in store.entries:
             continue
-        results.append(tune_workload(ctx, workload, store=store, log=log))
+        results.append(
+            tune_fresh(
+                ctx.config, workload, store,
+                warm_inputs=ctx.warm_inputs, log=log,
+            )
+        )
     return results
+
+
+def tune_fresh(
+    config: DeviceConfig,
+    workload: WorkloadKey,
+    store: TuneStore,
+    *,
+    warm_inputs: bool = True,
+    log=None,
+) -> TuneResult:
+    """Tune one workload on a **fresh** :class:`ScanContext` into ``store``.
+
+    Traced device times depend on GM allocation addresses and L2
+    residency, and both depend on what a context ran before (cached
+    constant matrices shift later allocations; earlier sweeps leave
+    chunks resident).  A context per workload makes each entry a pure
+    function of (config, warming setting, workload): the invariant that
+    lets merged warm-up shards equal one serial sweep, and makes
+    :func:`ensure_tuned` independent of call history and order."""
+    return tune_workload(
+        ScanContext(config, warm_inputs=warm_inputs), workload,
+        store=store, log=log,
+    )
 
 
 def format_result(result: TuneResult) -> str:

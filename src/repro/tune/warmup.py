@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from ..hw.config import DeviceConfig
 from .space import WorkloadKey
 from .store import TuneStore
-from .tuner import tune_workload
+from .tuner import tune_fresh
 
 __all__ = ["WarmupReport", "warm_tune_store", "warm_service", "warm_pool"]
 
@@ -75,20 +75,15 @@ def _tune_shard(payload: "tuple[DeviceConfig, list[WorkloadKey]]") -> dict:
     Module-level (picklable) and self-contained: no live objects cross the
     process boundary — the shard travels back as a plain JSON payload.
 
-    Each workload gets a **fresh** :class:`~repro.core.api.ScanContext`.
-    Traced device times depend on GM allocation addresses, which depend on
-    what the context tuned before (cached constant matrices shift later
-    allocations), so tuning a slice on one shared context would make every
-    entry a function of the round-robin slice assignment.  A context per
-    workload makes each entry a pure function of (config, workload) — the
-    invariant that lets N merged shards equal one serial sweep exactly.
+    Each workload is tuned on a fresh context (:func:`tune_fresh`), so
+    every entry is a pure function of (config, workload), not of the
+    round-robin slice assignment — the invariant that lets N merged
+    shards equal one serial sweep exactly.
     """
-    from ..core.api import ScanContext
-
     config, workloads = payload
     shard = TuneStore(config)
     for workload in workloads:
-        tune_workload(ScanContext(config), workload, store=shard)
+        tune_fresh(config, workload, shard)
     return shard.to_payload()
 
 

@@ -540,3 +540,137 @@ class TestMacros:
         trace = run_vec(dev, body)
         op = next(o for o in trace.ops if o.kind == "scalar")
         assert op.cycles == pytest.approx(dev.costs.scalar_cycles(100))
+
+
+def _special_rows(x: np.ndarray, cols: int) -> np.ndarray:
+    """``x`` with its first rows replaced by NaN / +inf / -inf / -0 rows."""
+    mat = x.reshape(-1, cols).copy()
+    for row, value in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+        mat[row] = value
+    return mat.reshape(x.shape)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    return np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestCopyFreeNumerics:
+    """The in-place numerics of ``mmad`` (fp32 L0C) and ``propagate_chain``
+    (tiles already in the working dtype) against the cast-and-copy
+    expressions they replaced, restated here, bit for bit.
+
+    Inputs are non-exact (N(0,1) fp16 with NaN / +-inf / -0 rows, fp32
+    carries that round) and int32 values that wrap: integer-valued inputs
+    could not tell a reassociated sum apart."""
+
+    M = K = N = 32
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_mmad_fp32_matches_cast_expression(self, dev, accumulate):
+        rng = np.random.default_rng(11)
+        m, k, n = self.M, self.K, self.N
+        a_np = _special_rows(rng.standard_normal(m * k).astype(np.float16), k)
+        b_np = rng.standard_normal(k * n).astype(np.float16)
+        b_np[5] = -0.0
+        c0 = _special_rows(
+            (rng.standard_normal(m * n) * 1e3).astype(np.float32), n
+        )[::-1].copy()  # special rows of C land on finite rows of A @ B
+        out = {}
+
+        def body(ctx, cpipe):
+            l0a = cpipe.init_buffer(buffer=BufferKind.L0A, depth=1, slot_bytes=2048)
+            l0b = cpipe.init_buffer(buffer=BufferKind.L0B, depth=1, slot_bytes=2048)
+            l0c = cpipe.init_buffer(buffer=BufferKind.L0C, depth=1, slot_bytes=4096)
+            a = l0a.alloc_tensor("fp16", m * k)
+            a.array[:] = a_np
+            b = l0b.alloc_tensor("fp16", k * n)
+            b.array[:] = b_np
+            c = l0c.alloc_tensor("fp32", m * n)
+            c.array[:] = c0
+            I.mmad(ctx, c, a, b, m, k, n, accumulate=accumulate)
+            out["c"] = c.array.copy()
+
+        with np.errstate(invalid="ignore"):
+            run_mix(dev, body)
+            prod = (
+                a_np.reshape(m, k).astype(np.float32)
+                @ b_np.reshape(k, n).astype(np.float32)
+            )
+            if accumulate:
+                want = c0.reshape(m, n) + prod.astype(np.float32)
+            else:
+                want = prod.astype(np.float32)
+        assert _same_bits(out["c"], want.reshape(-1))
+        # the special values reach the output: an inf row of A meets
+        # mixed-sign B columns (NaN); C's inf rows survive accumulation
+        assert np.isnan(out["c"]).any()
+        assert np.isinf(out["c"]).any() == accumulate
+
+    @staticmethod
+    def _chain_reference(vals: np.ndarray, s: int, partial: float):
+        """propagate_chain's arithmetic in its former cast-and-copy form."""
+        work = vals.dtype
+        mat = vals.reshape(-1, s)
+        rows = mat.shape[0]
+        row_last = mat[:, -1].astype(work)
+        offsets = np.empty(rows, dtype=work)
+        offsets[0] = work.type(partial)
+        if rows > 1:
+            np.cumsum(row_last[:-1], dtype=work, out=offsets[1:])
+            offsets[1:] += work.type(partial)
+        want = (mat.astype(work) + offsets[:, None]).astype(vals.dtype)
+        return want.reshape(-1), float(offsets[-1] + row_last[-1])
+
+    def _run_chain(self, dev, vals, s, partial):
+        out = {}
+
+        def body(ctx, q):
+            dtype = "fp32" if vals.dtype == np.float32 else "int32"
+            t = q.alloc_tensor(dtype, vals.size)
+            t.array[:] = vals
+            reg = ctx.new_register()
+            out["partial"] = I.propagate_chain(ctx, t, s, partial, reg)
+            out["tile"] = t.array.copy()
+
+        run_vec(dev, body)
+        return out["tile"], out["partial"]
+
+    def test_propagate_chain_fp32_matches_cast_expression(self, dev):
+        rng = np.random.default_rng(12)
+        s = 32
+        vals = rng.standard_normal(1024).astype(np.float16).astype(np.float32)
+        vals = _special_rows(vals, s)
+        vals[-s:] = rng.standard_normal(s).astype(np.float32) * 1e7  # big tail
+        with np.errstate(invalid="ignore"):
+            got, got_partial = self._run_chain(dev, vals, s, 0.1)
+            want, want_partial = self._chain_reference(vals, s, 0.1)
+        assert _same_bits(got, want)
+        assert np.isnan(got_partial) and np.isnan(want_partial)
+
+        # a finite chain: the carry rounds in every row and so does the
+        # returned partial
+        finite = rng.standard_normal(1024).astype(np.float32)
+        finite[::7] = -0.0
+        got, got_partial = self._run_chain(dev, finite, s, 1e-3)
+        want, want_partial = self._chain_reference(finite, s, 1e-3)
+        assert _same_bits(got, want)
+        assert got_partial == want_partial
+
+    def test_propagate_chain_int32_wraps_like_cast_expression(self, dev):
+        rng = np.random.default_rng(13)
+        s = 32
+        info = np.iinfo(np.int32)
+        vals = rng.integers(info.max - 1000, info.max, 1024).astype(np.int32)
+        vals[::3] = rng.integers(info.min, info.min + 1000, 342)
+        with np.errstate(over="ignore"):
+            got, got_partial = self._run_chain(dev, vals, s, 12345.0)
+            want, want_partial = self._chain_reference(vals, s, 12345.0)
+        assert np.array_equal(got, want)
+        assert got_partial == want_partial
+        # the input really wraps: a wide-integer sum differs
+        wide = vals.astype(np.int64).reshape(-1, s)
+        assert not np.array_equal(
+            want.reshape(-1, s).astype(np.int64),
+            wide + np.concatenate(([12345], np.cumsum(wide[:-1, -1]) + 12345))[:, None],
+        )

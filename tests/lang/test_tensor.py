@@ -54,35 +54,56 @@ class TestLocalTensor:
             t.as_matrix(5, 3)
 
 
+def read_deps(h):
+    deps = set()
+    h.add_read_deps(deps)
+    return deps
+
+
+def write_deps(h):
+    deps = set()
+    h.add_write_deps(deps)
+    return deps
+
+
 class TestHazard:
     def test_initial_state(self):
         h = Hazard()
-        assert h.deps_for_read() == ()
-        assert h.deps_for_write() == ()
+        assert read_deps(h) == set()
+        assert write_deps(h) == set()
 
     def test_raw(self):
         h = Hazard()
         h.note_write(3)
-        assert h.deps_for_read() == (3,)
+        assert read_deps(h) == {3}
 
     def test_war_and_waw(self):
         h = Hazard()
         h.note_write(1)
         h.note_read(2)
         h.note_read(3)
-        deps = h.deps_for_write()
-        assert set(deps) == {1, 2, 3}
+        assert write_deps(h) == {1, 2, 3}
 
     def test_write_clears_readers(self):
         h = Hazard()
         h.note_write(1)
         h.note_read(2)
         h.note_write(4)
-        assert h.deps_for_write() == (4,)
+        assert write_deps(h) == {4}
 
     def test_seed(self):
         h = Hazard()
         h.note_read(1)
         h.seed(9)
-        assert h.deps_for_read() == (9,)
-        assert h.deps_for_write() == (9,)
+        assert read_deps(h) == {9}
+        assert write_deps(h) == {9}
+
+    def test_adds_into_existing_deps(self):
+        h = Hazard()
+        h.note_write(5)
+        h.note_read(6)
+        deps = {1, 5}
+        h.add_read_deps(deps)
+        assert deps == {1, 5}
+        h.add_write_deps(deps)
+        assert deps == {1, 5, 6}

@@ -13,7 +13,7 @@ import pytest
 from repro.core.api import ScanContext
 from repro.core.reference import exact_fp16_scan_input, inclusive_scan
 from repro.errors import ConfigError
-from repro.hw.config import toy_config
+from repro.hw.config import ASCEND_910B4, toy_config
 from repro.serve import ScanService
 from repro.shard import PoolScanService
 from repro.tune import (
@@ -70,6 +70,20 @@ class TestWarmTuneStore:
         store = TuneStore(toy_config())
         report = warm_tune_store(WORKLOADS[:1], store, workers=8)
         assert report.workers == 1  # one workload cannot use eight procs
+
+
+class TestEnsureTunedIsolation:
+    def test_entries_independent_of_order_and_history(self):
+        # on one shared context, L2 and GM state left by the 64K sweep
+        # moved the 4K entry's default_ns (9754.44 vs 9766.99 fresh); each
+        # workload now tunes on its own fresh context, like a warm-up shard
+        cfg = ASCEND_910B4
+        workloads = [WorkloadKey("1d", 65536, "fp16"), WorkloadKey("1d", 4096, "fp16")]
+        got = TuneStore(cfg)
+        ensure_tuned(ScanContext(cfg), workloads, got)
+        want = TuneStore(cfg)
+        warm_tune_store(workloads[::-1], want, workers=1)
+        assert got.entries == want.entries
 
 
 class TestFromPayload:
